@@ -137,10 +137,11 @@ fn rsb_block(ml: &MultilevelOptions) -> usize {
 /// supplied as `warm` (restricted to this fragment), the solve first tries
 /// [`multilevel::refine_warm_started_on`] — fine-level block refinement
 /// seeded with the parent's solution, skipping the coarsest solve and the
-/// walk-up — and only falls back to the restricted-hierarchy path if the
-/// warm start fails to converge. Post-processing (centre, normalise,
-/// canonical sign) mirrors `fiedler_pair_on` exactly so the reuse and
-/// re-coarsen paths produce comparable vectors.
+/// walk-up, its inner solves preconditioned by a V-cycle over the
+/// restricted hierarchy — and only falls back to the restricted-hierarchy
+/// walk-up if the warm start fails to converge. Post-processing (centre,
+/// normalise, canonical sign) mirrors `fiedler_pair_on` exactly so the
+/// reuse and re-coarsen paths produce comparable vectors.
 fn fragment_fiedler_vector(
     sub_laplacian: &CsrMatrix,
     vertices: &[usize],
@@ -179,16 +180,27 @@ fn fragment_fiedler_vector(
                 FiedlerMethod::ShiftInvert
             };
         } else if let Some(ctx) = reuse {
+            // The root hierarchy restricted to this fragment serves both
+            // the warm start's V-cycle and the fallback walk-up.
+            let restricted;
+            let hierarchy = if vertices.len() == ctx.root_len {
+                &ctx.hierarchy
+            } else {
+                restricted =
+                    ctx.hierarchy
+                        .restrict(vertices, sub_laplacian, ctx.floor, &ctx.ml, pool)?;
+                &restricted
+            };
             // Cheapest first: refine straight from the parent's vector.
             // Any failure (typically NoConvergence from a weak guess on a
             // near-degenerate half) falls back to the hierarchy walk-up —
             // deterministically, so reruns take the same path.
             let mut pairs = warm
                 .and_then(|w| {
-                    let warm_block = [w.to_vec()];
                     multilevel::refine_warm_started_on(
                         sub_laplacian,
-                        &warm_block,
+                        hierarchy,
+                        &[w.to_vec()],
                         1,
                         fo.tolerance,
                         fo.seed,
@@ -199,19 +211,6 @@ fn fragment_fiedler_vector(
                 })
                 .map(Ok)
                 .unwrap_or_else(|| {
-                    let restricted;
-                    let hierarchy = if vertices.len() == ctx.root_len {
-                        &ctx.hierarchy
-                    } else {
-                        restricted = ctx.hierarchy.restrict(
-                            vertices,
-                            sub_laplacian,
-                            ctx.floor,
-                            &ctx.ml,
-                            pool,
-                        )?;
-                        &restricted
-                    };
                     multilevel::smallest_nonzero_eigenpairs_on_hierarchy(
                         sub_laplacian,
                         hierarchy,

@@ -63,7 +63,6 @@ pub mod multilevel;
 pub mod operator;
 pub mod parallel;
 pub mod pcg;
-pub mod power;
 pub mod sparse;
 pub mod tql;
 pub mod vector;

@@ -67,11 +67,14 @@
 //! (engagements, jobs handed to a backend, chunk-grid cells covered).
 //! The dispatch sequence is a pure function of the problem-size sequence
 //! and thread count, so the counters are machine-independent observables
-//! — `pipeline_scale` records them and CI gates on them.
+//! — `pipeline_scale` records them and CI gates on them. The same
+//! engagements are also tallied per dispatching thread, so a caller can
+//! count its own dispatches exactly while other threads dispatch too.
 
 use crate::sparse::CsrMatrix;
 use crate::vector;
 use crossbeam::thread;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -103,6 +106,18 @@ pub const LIGHT_SPAWN_MIN: usize = 524_288;
 static SCOPE_ENTRIES: AtomicU64 = AtomicU64::new(0);
 static JOBS_SUBMITTED: AtomicU64 = AtomicU64::new(0);
 static CHUNKS_EXECUTED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The engagements dispatched from this thread — the process-wide
+    /// counters minus every other thread's dispatches.
+    static THREAD_TALLY: Cell<DispatchCounters> = const {
+        Cell::new(DispatchCounters {
+            scope_entries: 0,
+            jobs_submitted: 0,
+            chunks_executed: 0,
+        })
+    };
+}
 
 /// A snapshot of the process-wide dispatch counters — the observable
 /// behind the bench's `dispatch_gate`.
@@ -137,12 +152,27 @@ pub fn dispatch_counters() -> DispatchCounters {
     }
 }
 
+/// Snapshot the dispatch counters of the **calling thread** only: unlike
+/// [`dispatch_counters`], the delta between two snapshots cannot pick up
+/// engagements that other threads dispatched in between.
+#[cfg(test)]
+pub(crate) fn thread_dispatch_counters() -> DispatchCounters {
+    THREAD_TALLY.with(Cell::get)
+}
+
 /// Record one parallel engagement that submitted `jobs` closures covering
-/// `chunks` chunk-grid cells.
+/// `chunks` chunk-grid cells, process-wide and on the dispatching thread.
 fn note_dispatch(jobs: u64, chunks: u64) {
     SCOPE_ENTRIES.fetch_add(1, Ordering::Relaxed);
     JOBS_SUBMITTED.fetch_add(jobs, Ordering::Relaxed);
     CHUNKS_EXECUTED.fetch_add(chunks, Ordering::Relaxed);
+    THREAD_TALLY.with(|tally| {
+        let mut t = tally.get();
+        t.scope_entries += 1;
+        t.jobs_submitted += jobs;
+        t.chunks_executed += chunks;
+        tally.set(t);
+    });
 }
 
 /// Lazily-resolved default worker count: `SLPM_THREADS` env override, else
@@ -800,9 +830,9 @@ mod tests {
         let n = SPAWN_MIN + 3 * REDUCE_CHUNK;
         let x = random_vec(n, 21);
         let y = random_vec(n, 22);
-        let before = dispatch_counters();
+        let before = thread_dispatch_counters();
         let par = Pool::new(Some(4)).dot(&x, &y);
-        let delta = dispatch_counters().since(&before);
+        let delta = thread_dispatch_counters().since(&before);
         assert_eq!(delta.scope_entries, 0, "light op engaged below threshold");
         assert_eq!(par.to_bits(), vector::dot(&x, &y).to_bits());
     }
@@ -833,16 +863,22 @@ mod tests {
     #[test]
     fn dispatch_counters_count_submitted_jobs() {
         // A heavy engagement at 4 threads submits workers - 1 jobs and
-        // covers the whole chunk grid exactly once.
+        // covers the whole chunk grid exactly once. The test thread's own
+        // tally is read, so tests dispatching concurrently on other
+        // threads cannot leak into the deltas.
         let lap = grid_laplacian(200, 120); // 24,000 rows -> 6 chunks
         let x = random_vec(lap.rows(), 23);
         let mut y = vec![0.0; lap.rows()];
-        let before = dispatch_counters();
+        let before = thread_dispatch_counters();
+        let global_before = dispatch_counters();
         Pool::new(Some(4)).matvec_into(&lap, &x, &mut y);
-        let d = dispatch_counters().since(&before);
+        let d = thread_dispatch_counters().since(&before);
+        let global = dispatch_counters().since(&global_before);
         assert_eq!(d.scope_entries, 1);
         assert_eq!(d.jobs_submitted, 3);
         assert_eq!(d.chunks_executed, lap.rows().div_ceil(REDUCE_CHUNK) as u64);
+        // The process-wide counters saw at least this thread's engagement.
+        assert!(global.scope_entries >= 1 && global.jobs_submitted >= 3);
     }
 
     /// A toy persistent executor: runs the borrowed jobs on plain std

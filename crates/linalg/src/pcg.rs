@@ -1,10 +1,12 @@
-//! Jacobi-preconditioned conjugate gradients.
+//! Preconditioned conjugate gradients.
 //!
 //! Plain CG (see [`crate::cg`]) is fine for *unweighted* grid Laplacians,
 //! whose diagonal is nearly constant. Section 4's weighted graphs (inverse-
 //! distance weights, heavy affinity edges) can skew the diagonal by orders
 //! of magnitude; dividing by it — the Jacobi preconditioner `M = diag(A)` —
 //! restores the iteration count at one extra vector multiply per step.
+//! The iteration itself takes any fixed SPD preconditioner; the multilevel
+//! solver plugs in a V-cycle over its coarsening hierarchy.
 
 use crate::cg::CgOptions;
 use crate::error::LinalgError;
@@ -47,9 +49,9 @@ pub fn solve_jacobi(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<PcgOut
 }
 
 /// [`solve_jacobi`] on a caller-supplied [`Pool`] — the path the
-/// multilevel driver uses so nested PCG solves schedule onto the same
-/// persistent executor as everything else instead of falling back to
-/// scoped spawns. `opts.threads` is ignored; the pool decides.
+/// shift-invert Lanczos operator uses so nested PCG solves schedule onto
+/// the same persistent executor as everything else instead of falling
+/// back to scoped spawns. `opts.threads` is ignored; the pool decides.
 pub fn solve_jacobi_on(
     a: &CsrMatrix,
     b: &[f64],
@@ -57,18 +59,6 @@ pub fn solve_jacobi_on(
     pool: Pool<'_>,
 ) -> Result<PcgOutcome, LinalgError> {
     let n = a.dim();
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            context: "pcg::solve_jacobi rhs",
-            expected: n,
-            found: b.len(),
-        });
-    }
-    if !vector::all_finite(b) {
-        return Err(LinalgError::NonFiniteInput {
-            context: "pcg::solve_jacobi rhs",
-        });
-    }
     let mut inv_diag = vec![0.0; n];
     pool.for_each_chunk(&mut inv_diag, |row0, chunk| {
         for (j, d) in chunk.iter_mut().enumerate() {
@@ -81,7 +71,42 @@ pub fn solve_jacobi_on(
         }
         *d = 1.0 / *d;
     }
+    solve_preconditioned_on(a, b, opts, pool, "pcg-jacobi", |r, z| {
+        // Level-1 elementwise pass — light engagement threshold.
+        pool.for_each_chunk_light(z, |off, chunk| {
+            for (j, zi) in chunk.iter_mut().enumerate() {
+                *zi = r[off + j] * inv_diag[off + j];
+            }
+        });
+    })
+}
 
+/// Preconditioned CG on a caller-supplied [`Pool`] with an arbitrary
+/// preconditioner: `precondition(r, z)` must write `z = B r` for a fixed
+/// symmetric positive (semi)definite linear map `B` — a Jacobi scaling, a
+/// multigrid V-cycle. With `opts.deflate_mean`, `z` is re-centred after
+/// every application, so the iteration runs on the zero-mean subspace
+/// with the effective preconditioner `ΠBΠ`. `solver` names the method in
+/// a [`LinalgError::NoConvergence`].
+pub(crate) fn solve_preconditioned_on(
+    a: &CsrMatrix,
+    b: &[f64],
+    opts: &CgOptions,
+    pool: Pool<'_>,
+    solver: &'static str,
+    precondition: impl Fn(&[f64], &mut [f64]),
+) -> Result<PcgOutcome, LinalgError> {
+    let n = a.dim();
+    if b.len() != n {
+        return Err(LinalgError::DimensionMismatch {
+            context: "pcg rhs",
+            expected: n,
+            found: b.len(),
+        });
+    }
+    if !vector::all_finite(b) {
+        return Err(LinalgError::NonFiniteInput { context: "pcg rhs" });
+    }
     let max_iters = opts.max_iterations.unwrap_or(10 * n + 100);
     let mut rhs = b.to_vec();
     if opts.deflate_mean {
@@ -98,13 +123,8 @@ pub fn solve_jacobi_on(
 
     let mut x = vec![0.0; n];
     let mut r = rhs;
-    // z = M⁻¹ r
     let mut z = vec![0.0; n];
-    pool.for_each_chunk_light(&mut z, |off, chunk| {
-        for (j, zi) in chunk.iter_mut().enumerate() {
-            *zi = r[off + j] * inv_diag[off + j];
-        }
-    });
+    precondition(&r, &mut z);
     if opts.deflate_mean {
         pool.center(&mut z);
     }
@@ -146,11 +166,7 @@ pub fn solve_jacobi_on(
                 relative_residual: rel,
             });
         }
-        pool.for_each_chunk_light(&mut z, |off, chunk| {
-            for (j, zi) in chunk.iter_mut().enumerate() {
-                *zi = r[off + j] * inv_diag[off + j];
-            }
-        });
+        precondition(&r, &mut z);
         if opts.deflate_mean {
             pool.center(&mut z);
         }
@@ -165,7 +181,7 @@ pub fn solve_jacobi_on(
     }
 
     Err(LinalgError::NoConvergence {
-        solver: "pcg-jacobi",
+        solver,
         iterations: max_iters,
         residual: pool.norm2(&r) / b_norm,
         tolerance: opts.tolerance,

@@ -166,7 +166,7 @@ pub fn all_finite(x: &[f64]) -> bool {
 }
 
 /// Fill `x` with uniform random values in `(-1, 1)` from the supplied RNG.
-/// Deterministic for a seeded RNG; used to start Lanczos / power iterations.
+/// Deterministic for a seeded RNG; used to start Lanczos and block iterations.
 pub fn fill_random<R: rand::Rng>(rng: &mut R, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi = rng.gen_range(-1.0..1.0);
