@@ -3,13 +3,15 @@
 //! many cheap ones; dense is cubic.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::fiedler::{fiedler_pair, FiedlerMethod, FiedlerOptions};
+use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerMethod, FiedlerOptions};
+use slpm_linalg::Pool;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_eigensolver");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
+    let pool = Pool::new(None);
     for side in [8usize, 16, 24] {
         let spec = GridSpec::cube(side, 2);
         let lap = spec.graph(Connectivity::Orthogonal).laplacian();
@@ -24,7 +26,7 @@ fn bench(c: &mut Criterion) {
                     method,
                     ..Default::default()
                 };
-                b.iter(|| fiedler_pair(std::hint::black_box(lap), &opts).unwrap());
+                b.iter(|| fiedler_pair_on(std::hint::black_box(lap), &opts, &pool).unwrap());
             });
         }
     }

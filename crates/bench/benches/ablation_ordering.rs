@@ -2,7 +2,8 @@
 //! (direct Fiedler vs recursive spectral bisection vs multi-vector).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slpm_graph::grid::{Connectivity, GridSpec};
-use spectral_lpm::recursive::{multi_vector_order, rsb_order, RsbOptions};
+use slpm_linalg::Pool;
+use spectral_lpm::recursive::{multi_vector_order_on, rsb_order_on, RsbOptions};
 use spectral_lpm::{SpectralConfig, SpectralMapper};
 
 fn bench(c: &mut Criterion) {
@@ -10,26 +11,33 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
+    let pool = Pool::new(None);
     for side in [8usize, 16] {
         let spec = GridSpec::cube(side, 2);
         let graph = spec.graph(Connectivity::Orthogonal);
         g.bench_with_input(BenchmarkId::new("direct", side), &graph, |b, graph| {
             let mapper = SpectralMapper::new(SpectralConfig::default());
-            b.iter(|| mapper.map_graph(std::hint::black_box(graph)).unwrap());
+            b.iter(|| {
+                mapper
+                    .map_graph_on(std::hint::black_box(graph), &pool)
+                    .unwrap()
+            });
         });
         g.bench_with_input(BenchmarkId::new("rsb", side), &graph, |b, graph| {
-            b.iter(|| rsb_order(std::hint::black_box(graph), &RsbOptions::default()).unwrap());
+            let opts = RsbOptions::default();
+            b.iter(|| rsb_order_on(std::hint::black_box(graph), &opts, &pool).unwrap());
         });
         g.bench_with_input(
             BenchmarkId::new("multi_vector", side),
             &graph,
             |b, graph| {
                 b.iter(|| {
-                    multi_vector_order(
+                    multi_vector_order_on(
                         std::hint::black_box(graph),
                         3,
                         1e-8,
                         &SpectralConfig::default(),
+                        &pool,
                     )
                     .unwrap()
                 });

@@ -2,12 +2,18 @@
 //!
 //! Demonstrates that the shift-invert path handles production-sized point
 //! sets: square grids from 16x16 up to 256x256 (65 536 vertices). Prints
-//! wall time, lambda_2 against the closed form, and the residual.
+//! wall time, lambda_2 against the closed form, and the residual. The
+//! solves run on one persistent worker pool sized to the machine
+//! (`SLPM_THREADS`, else the available parallelism).
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::fiedler::{fiedler_pair, FiedlerOptions};
+use slpm_linalg::fiedler::{fiedler_pair_on, FiedlerOptions};
+use slpm_linalg::parallel;
+use slpm_serve::WorkerPool;
 use std::time::Instant;
 
 fn main() {
+    let workers = WorkerPool::new(parallel::default_threads());
+    let pool = workers.linalg_pool();
     println!(
         "{:>9}  {:>8}  {:>12}  {:>12}  {:>9}  {:>9}",
         "grid", "vertices", "lambda2", "closed form", "residual", "time"
@@ -16,7 +22,8 @@ fn main() {
         let spec = GridSpec::cube(side, 2);
         let lap = spec.graph(Connectivity::Orthogonal).laplacian();
         let t = Instant::now();
-        let pair = fiedler_pair(&lap, &FiedlerOptions::default()).expect("connected grid");
+        let pair =
+            fiedler_pair_on(&lap, &FiedlerOptions::default(), &pool).expect("connected grid");
         let elapsed = t.elapsed();
         let expect = 4.0 * (std::f64::consts::PI / (2.0 * side as f64)).sin().powi(2);
         println!(

@@ -30,7 +30,7 @@
 //!                    [--json] [--out PATH]
 //!
 //! `--json` writes the machine-readable results (schema
-//! `slpm.serve_matrix.v5`) to PATH (default BENCH_serve.json); the CI
+//! `slpm.serve_matrix.v5`) to PATH (default BENCH_serve_matrix.json); the CI
 //! `serve-smoke` job uploads that file as a build artifact. The JSON
 //! stamps `host_parallelism` — on a single-core container the pooled
 //! entries measure scheduling overhead, not speedup; read them together
@@ -200,7 +200,7 @@ fn main() {
     let mut page_file: Option<String> = None;
     let mut readahead = 0usize;
     let mut json = false;
-    let mut out_path = String::from("BENCH_serve.json");
+    let mut out_path = String::from("BENCH_serve_matrix.json");
     let mut i = 0;
     let bad = |flag: &str| -> ! {
         eprintln!("{flag} requires a positive integer");

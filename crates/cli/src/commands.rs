@@ -579,9 +579,12 @@ pub fn execute(cmd: &Command) -> Result<String, ParseError> {
             let spec = GridSpec::new(dims);
             let graph = spec.graph(Connectivity::Orthogonal);
             let order = build_order(dims, *mapping, None)?;
-            let report =
-                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::default())
-                    .map_err(|e| ParseError(e.to_string()))?;
+            // λ₂ takes the size-picked eigensolver the spectral mappings
+            // use, on the command's spectral pool.
+            let report = with_spectral_pool(None, |pool| {
+                spectral_lpm::OrderReport::compute(&graph, &order, &SpectralConfig::auto(), pool)
+            })
+            .map_err(|e| ParseError(e.to_string()))?;
             Ok(report.render(&mapping.to_string()))
         }
     }
@@ -669,6 +672,12 @@ mod tests {
         assert!(out.contains("lambda2"), "{out}");
         assert!(out.contains("bandwidth"));
         assert!(run(&["report", "--grid", "4x4"]).is_err());
+        // 72² = 5,184 vertices is past AUTO_SHIFT_INVERT_MAX, so λ₂ comes
+        // from the multilevel solver: 4·sin²(π/144) for a 72×72 grid.
+        const { assert!(72 * 72 > spectral_lpm::mapper::AUTO_SHIFT_INVERT_MAX) };
+        let out = run(&["report", "--grid", "72x72", "--mapping", "sweep"]).unwrap();
+        let expect = 4.0 * (std::f64::consts::PI / 144.0).sin().powi(2);
+        assert!(out.contains(&format!("lambda2={expect:.6}")), "{out}");
     }
 
     #[test]

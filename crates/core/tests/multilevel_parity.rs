@@ -10,7 +10,7 @@
 //! silently).
 
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::{FiedlerMethod, FiedlerOptions};
+use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
 use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
 
 fn mapper(method: FiedlerMethod, connectivity: Connectivity) -> SpectralMapper {
@@ -41,10 +41,10 @@ fn assert_parity(connectivity: Connectivity) {
     for &dims in GRIDS {
         let spec = GridSpec::new(&dims);
         let dense = mapper(FiedlerMethod::Dense, connectivity)
-            .map_grid(&spec)
+            .map_grid_on(&spec, &Pool::new(None))
             .unwrap();
         let ml = mapper(FiedlerMethod::Multilevel, connectivity)
-            .map_grid(&spec)
+            .map_grid_on(&spec, &Pool::new(None))
             .unwrap();
         assert_eq!(
             dense.order.ranks(),

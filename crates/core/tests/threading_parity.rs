@@ -1,29 +1,17 @@
-//! Thread-count invariance of the spectral order.
+//! Thread-count invariance of the spectral orders.
 //!
 //! The parallel kernels under the multilevel Fiedler pipeline use
 //! fixed-chunk deterministic reductions (`slpm_linalg::parallel`), so the
 //! computed `LinearOrder` — and therefore every downstream metric — must
-//! be **identical** between a serial run and a `threads = 4` run, on both
-//! neighbourhood models. This is the end-to-end companion of the
-//! kernel-level bitwise tests in `slpm_linalg`: if it ever fails, a
-//! parallel code path has picked up a thread-count-dependent summation
-//! order.
+//! be **identical** between a run on `Pool::serial()` and a run on a
+//! 4-thread pool, on both neighbourhood models and for the multi-vector
+//! order too. This is the end-to-end companion of the kernel-level
+//! bitwise tests in `slpm_linalg`: if it ever fails, a parallel code path
+//! has picked up a thread-count-dependent summation order.
 
 use slpm_graph::grid::{Connectivity, GridSpec};
-use slpm_linalg::{FiedlerMethod, FiedlerOptions};
-use spectral_lpm::{objective, SpectralConfig, SpectralMapper};
-
-fn mapper(connectivity: Connectivity, threads: usize) -> SpectralMapper {
-    SpectralMapper::new(SpectralConfig {
-        connectivity,
-        fiedler: FiedlerOptions {
-            method: FiedlerMethod::Multilevel,
-            ..Default::default()
-        },
-        threads: Some(threads),
-        ..Default::default()
-    })
-}
+use slpm_linalg::{FiedlerMethod, FiedlerOptions, Pool};
+use spectral_lpm::{multi_vector_order_on, objective, SpectralConfig, SpectralMapper};
 
 /// Grids forcing a real coarsening hierarchy (default coarsest size 256).
 /// The 132×132 case crosses the pool's spawn threshold so worker threads
@@ -36,10 +24,18 @@ const GRIDS: &[[usize; 2]] = &[[24, 24], [40, 33]];
 const GRIDS: &[[usize; 2]] = &[[24, 24], [40, 33], [132, 132]];
 
 fn assert_thread_parity(connectivity: Connectivity) {
+    let mapper = SpectralMapper::new(SpectralConfig {
+        connectivity,
+        fiedler: FiedlerOptions {
+            method: FiedlerMethod::Multilevel,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
     for &dims in GRIDS {
         let spec = GridSpec::new(&dims);
-        let serial = mapper(connectivity, 1).map_grid(&spec).unwrap();
-        let threaded = mapper(connectivity, 4).map_grid(&spec).unwrap();
+        let serial = mapper.map_grid_on(&spec, &Pool::serial()).unwrap();
+        let threaded = mapper.map_grid_on(&spec, &Pool::new(Some(4))).unwrap();
         assert_eq!(
             serial.order.ranks(),
             threaded.order.ranks(),
@@ -61,6 +57,12 @@ fn assert_thread_parity(connectivity: Connectivity) {
             sigma_serial.to_bits(),
             sigma_threaded.to_bits(),
             "2-sum differs on {dims:?} ({connectivity:?})"
+        );
+        let multi = |pool: &Pool<'_>| multi_vector_order_on(&graph, 3, 1e-8, mapper.config(), pool);
+        assert_eq!(
+            multi(&Pool::serial()).unwrap().ranks(),
+            multi(&Pool::new(Some(4))).unwrap().ranks(),
+            "multi-vector order differs on {dims:?} ({connectivity:?})"
         );
     }
 }

@@ -57,11 +57,13 @@
 //! The pool itself is just a resolved thread count plus an optional
 //! borrowed [`ScopeExecutor`] — the seam through which the eigensolver
 //! borrows a persistent worker pool (e.g. `slpm_serve::WorkerPool`)
-//! instead of spawning scoped threads per call. The *default* count is
-//! resolved **once per process** from the `SLPM_THREADS` environment
-//! variable if set, else [`std::thread::available_parallelism`] — so
-//! `threads: None` everywhere means "use the machine" and no construction
-//! path re-reads the environment.
+//! instead of spawning scoped threads per call. Every spectral entry
+//! point takes a `&Pool`, and no solver option carries a thread count:
+//! the caller decides where the work runs, once. [`Pool::new`]`(None)`
+//! resolves the *default* count **once per process** from the
+//! `SLPM_THREADS` environment variable if set, else
+//! [`std::thread::available_parallelism`], so no construction path
+//! re-reads the environment.
 //!
 //! Every parallel engagement also bumps process-wide [`DispatchCounters`]
 //! (engagements, jobs handed to a backend, chunk-grid cells covered).
