@@ -13,7 +13,9 @@
 //!    page ids derived from them — are monotone; kNN queries run the
 //!    [`KnnPlanner`] of the engine's configuration (best-first
 //!    branch-and-bound by default, the expanding-ball probe as the
-//!    retained baseline).
+//!    retained baseline). A query whose box or centre has a different
+//!    dimensionality than the points is not planned; its batch resolves
+//!    to [`ServeError::QueryDimension`].
 //! 2. **Route** (with planning): result ids become per-query page lists
 //!    and per-shard slices — a pure pass of integer divisions over the
 //!    order's borrowed ranks and the [`ShardMap`].
@@ -560,6 +562,10 @@ struct Plan {
     /// (distance, id) order and need a sort on the page side.
     rank_ordered: bool,
     tree: QueryCost,
+    /// `Some((expected, got))` when the query's dimensionality differs
+    /// from the points': the query was not planned (no results, no
+    /// pages) and its batch resolves to [`ServeError::QueryDimension`].
+    mismatch: Option<(usize, usize)>,
 }
 
 /// One query's page list routed to one shard.
@@ -1024,10 +1030,15 @@ impl BatchHandle {
     /// the digest.
     ///
     /// # Errors
-    /// [`ServeError::ReplayPanicked`] when any replay unit panicked
-    /// *outside* the fault plan (a real bug, not an injected failure) —
-    /// naming every failed (query, shard). Injected failures never error:
-    /// they degrade, and the coverage report names what was lost.
+    /// * [`ServeError::QueryDimension`] when a query's box or kNN centre
+    ///   has a different dimensionality than the points (the first such
+    ///   query is named; it takes precedence over replay failures).
+    /// * [`ServeError::ReplayPanicked`] when any replay unit panicked
+    ///   *outside* the fault plan (a real bug, not an injected failure) —
+    ///   naming every failed (query, shard).
+    ///
+    /// Injected failures never error: they degrade, and the coverage
+    /// report names what was lost.
     pub fn wait(self) -> Result<BatchReport, ServeError> {
         let queries = self.queries();
         let (outcomes, shards, degraded, elapsed_seconds) = self.finish()?;
@@ -1080,6 +1091,17 @@ impl BatchHandle {
                 std::mem::take(&mut progress.panicked),
             )
         };
+        let mismatch = plans.iter().enumerate().find_map(|(query, plan)| {
+            plan.mismatch
+                .map(|(expected, got)| ServeError::QueryDimension {
+                    query,
+                    expected,
+                    got,
+                })
+        });
+        if let Some(err) = mismatch {
+            return Err(err);
+        }
         if !panicked.is_empty() {
             panicked.sort_unstable();
             return Err(ServeError::ReplayPanicked { failures: panicked });
@@ -1139,7 +1161,6 @@ pub struct ServeEngine<'a> {
     points: &'a [Vec<i64>],
     order: &'a LinearOrder,
     rtree: PackedRTree<'a>,
-    bounds: Mbr,
     layout: PageLayout,
     shard_map: ShardMap,
     shared: Arc<EngineShared>,
@@ -1159,8 +1180,9 @@ impl<'a> ServeEngine<'a> {
     /// materialised in memory.
     ///
     /// # Panics
-    /// Panics when `points` is empty or its length differs from the
-    /// order's (caller bugs), or on zero geometry knobs.
+    /// Panics when `points` is empty, its length differs from the
+    /// order's, or its points differ in dimensionality (caller bugs), or
+    /// on zero geometry knobs.
     pub fn new(points: &'a [Vec<i64>], order: &'a LinearOrder, cfg: EngineConfig) -> Self {
         ServeEngine::with_storage(points, order, cfg, None)
             .expect("in-memory shard builds are infallible")
@@ -1214,7 +1236,6 @@ impl<'a> ServeEngine<'a> {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let bounds = Mbr::of_points(points.iter().map(|p| p.as_slice()));
         assert!(
             cfg.recovery.validate().is_ok(),
             "invalid recovery config: {}",
@@ -1224,7 +1245,6 @@ impl<'a> ServeEngine<'a> {
             points,
             order,
             rtree: PackedRTree::pack(points, order, cfg.fanout.max(2)),
-            bounds,
             layout,
             shard_map,
             shared: Arc::new(EngineShared {
@@ -1308,6 +1328,7 @@ impl<'a> ServeEngine<'a> {
         let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(queries.len());
         let mut degraded: Vec<DegradedUnit> = Vec::new();
         let mut failures: Vec<UnitFailure> = Vec::new();
+        let mut mismatch: Option<ServeError> = None;
         let mut shard_reports: Vec<ShardReport> =
             (0..self.cfg.shards).map(ShardReport::idle).collect();
         let mut next_base = 0usize;
@@ -1334,13 +1355,16 @@ impl<'a> ServeEngine<'a> {
                 // The merged report is abandoned on error, but every
                 // handle is still drained (no work left in flight) and
                 // every failure collected.
-                Err(ServeError::ReplayPanicked { failures: sub }) => {
-                    failures.extend(sub.into_iter().map(|mut f| {
-                        f.query += base;
-                        f
-                    }));
-                }
+                Err(err) => match err.offset_queries(base) {
+                    ServeError::ReplayPanicked { failures: sub } => failures.extend(sub),
+                    dimension => {
+                        mismatch.get_or_insert(dimension);
+                    }
+                },
             }
+        }
+        if let Some(err) = mismatch {
+            return Err(err);
         }
         if !failures.is_empty() {
             failures.sort_unstable();
@@ -1640,28 +1664,42 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
-    /// Plan one query against the R-tree.
+    /// Plan one query against the R-tree. A query of the wrong
+    /// dimensionality never reaches the tree: its plan is empty and
+    /// carries the mismatch to [`BatchHandle::wait`].
     fn plan(&self, query: &Query) -> Plan {
-        match query {
+        let expected = self.rtree.dim();
+        let got = match query {
+            Query::Range(mbr) if mbr.lo.len() != expected => mbr.lo.len(),
+            Query::Range(mbr) => mbr.hi.len(),
+            Query::Knn { center, .. } => center.len(),
+        };
+        if got != expected {
+            return Plan {
+                results: Vec::new(),
+                rank_ordered: true,
+                tree: QueryCost::ZERO,
+                mismatch: Some((expected, got)),
+            };
+        }
+        let (results, tree, rank_ordered) = match query {
             Query::Range(mbr) => {
                 let (results, tree) = self.rtree.range_query_ordered(mbr);
-                Plan {
-                    results,
-                    rank_ordered: true,
-                    tree,
-                }
+                (results, tree, true)
             }
             Query::Knn { center, k } => {
                 let (results, tree) = match self.cfg.knn_planner {
                     KnnPlanner::BestFirst => self.rtree.knn_best_first(center, *k),
                     KnnPlanner::ExpandingBall => self.knn_expanding(center, *k),
                 };
-                Plan {
-                    results,
-                    rank_ordered: false,
-                    tree,
-                }
+                (results, tree, false)
             }
+        };
+        Plan {
+            results,
+            rank_ordered,
+            tree,
+            mismatch: None,
         }
     }
 
@@ -1680,6 +1718,7 @@ impl<'a> ServeEngine<'a> {
         if k == 0 {
             return (Vec::new(), tree);
         }
+        let bounds = self.rtree.bounds();
         let mut radius: i64 = 1;
         let mut query = Mbr {
             lo: center.to_vec(),
@@ -1695,8 +1734,8 @@ impl<'a> ServeEngine<'a> {
             }
             let (ids, cost) = self.rtree.range_query_ordered(&query);
             tree.absorb(&cost);
-            let covers_all = query.lo.iter().zip(&self.bounds.lo).all(|(q, b)| q <= b)
-                && query.hi.iter().zip(&self.bounds.hi).all(|(q, b)| q >= b);
+            let covers_all = query.lo.iter().zip(&bounds.lo).all(|(q, b)| q <= b)
+                && query.hi.iter().zip(&bounds.hi).all(|(q, b)| q >= b);
             if ids.len() >= k || covers_all {
                 let mut scored: Vec<(i64, usize)> = ids
                     .into_iter()
@@ -1800,6 +1839,81 @@ mod tests {
                 hi: vec![30, 30],
             }),
         ]
+    }
+
+    #[test]
+    fn query_of_another_dimensionality_is_a_typed_error() {
+        // A 3-D box and a 1-D kNN centre on 2-D points: neither may panic
+        // the planner nor come back as a truncated answer.
+        let (points, order) = small_engine();
+        for threads in [1usize, 2] {
+            let cfg = EngineConfig {
+                records_per_page: 4,
+                fanout: 4,
+                threads,
+                ..Default::default()
+            };
+            let engine = ServeEngine::new(&points, &order, cfg);
+            let mut range = queries();
+            range.insert(
+                2,
+                Query::Range(Mbr {
+                    lo: vec![0, 0, 0],
+                    hi: vec![3, 3, 3],
+                }),
+            );
+            assert_eq!(
+                engine.run(&range).unwrap_err(),
+                ServeError::QueryDimension {
+                    query: 2,
+                    expected: 2,
+                    got: 3
+                }
+            );
+            // A box whose corners disagree is caught too.
+            let lopsided = vec![Query::Range(Mbr {
+                lo: vec![0, 0],
+                hi: vec![3],
+            })];
+            assert_eq!(
+                engine.submit(&lopsided).wait().unwrap_err(),
+                ServeError::QueryDimension {
+                    query: 0,
+                    expected: 2,
+                    got: 1
+                }
+            );
+            let mut knn = queries();
+            knn.push(Query::Knn {
+                center: vec![4],
+                k: 3,
+            });
+            let err = engine.submit(&knn).wait().unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::QueryDimension {
+                    query: 4,
+                    expected: 2,
+                    got: 1
+                }
+            );
+            assert!(
+                err.to_string().contains("query 4 has 1 coordinate"),
+                "{err}"
+            );
+            // Split admission names whole-workload positions.
+            assert_eq!(
+                engine.run_inflight(&knn, 2).unwrap_err(),
+                ServeError::QueryDimension {
+                    query: 4,
+                    expected: 2,
+                    got: 1
+                }
+            );
+            // The engine keeps serving well-formed batches afterwards.
+            let clean = engine.run(&queries()).expect("no replay panic");
+            assert_eq!(clean.outcomes.len(), 4);
+        }
     }
 
     #[test]
@@ -2232,7 +2346,9 @@ mod tests {
             let err = engine
                 .run(&queries())
                 .expect_err("wait must surface replay failures");
-            let ServeError::ReplayPanicked { failures } = &err;
+            let ServeError::ReplayPanicked { failures } = &err else {
+                panic!("threads={threads}: expected a replay failure, got {err}");
+            };
             assert!(
                 !failures.is_empty() && failures.iter().all(|f| f.shard == 0),
                 "threads={threads}: {failures:?}"

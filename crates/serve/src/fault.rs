@@ -471,6 +471,34 @@ pub enum ServeError {
         /// The failed units, ascending by (query, shard).
         failures: Vec<UnitFailure>,
     },
+    /// A query's box corner or kNN centre has a different number of
+    /// coordinates than the served points. The query is never planned
+    /// against the tree (it would answer a different question, or none);
+    /// the rest of its batch still drains before this is returned.
+    QueryDimension {
+        /// Index of the first such query within the batch (submission
+        /// order).
+        query: usize,
+        /// Dimensionality of the served points.
+        expected: usize,
+        /// Dimensionality the query carried.
+        got: usize,
+    },
+}
+
+impl ServeError {
+    /// The same error with every query index shifted by `base` — how a
+    /// caller that splits one workload into sub-batches reports
+    /// whole-workload positions.
+    pub(crate) fn offset_queries(mut self, base: usize) -> ServeError {
+        match &mut self {
+            ServeError::ReplayPanicked { failures } => {
+                failures.iter_mut().for_each(|f| f.query += base);
+            }
+            ServeError::QueryDimension { query, .. } => *query += base,
+        }
+        self
+    }
 }
 
 impl fmt::Display for ServeError {
@@ -488,6 +516,14 @@ impl fmt::Display for ServeError {
                 }
                 Ok(())
             }
+            ServeError::QueryDimension {
+                query,
+                expected,
+                got,
+            } => write!(
+                f,
+                "query {query} has {got} coordinate(s) but the served points have {expected}"
+            ),
         }
     }
 }

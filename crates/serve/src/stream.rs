@@ -310,6 +310,8 @@ impl SimShard {
 /// identical between a faulted and an unfaulted run.
 ///
 /// # Errors
+/// [`ServeError::QueryDimension`] when an admitted query's dimensionality
+/// differs from the points' (named by its admitted position), else
 /// [`ServeError::ReplayPanicked`] when a replay unit panicked outside
 /// the fault plan (injected faults degrade instead; see the coverage
 /// report). Every in-flight micro-batch is drained before the error
@@ -460,6 +462,7 @@ pub fn stream_serve(
     let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(admitted_idx.len());
     let mut degraded: Vec<DegradedUnit> = Vec::new();
     let mut failures: Vec<UnitFailure> = Vec::new();
+    let mut mismatch: Option<ServeError> = None;
     let mut next_base = 0usize;
     for handle in handles {
         let base = next_base;
@@ -472,13 +475,16 @@ pub fn stream_serve(
                 }));
                 outcomes.extend(report.outcomes);
             }
-            Err(ServeError::ReplayPanicked { failures: sub }) => {
-                failures.extend(sub.into_iter().map(|mut f| {
-                    f.query += base;
-                    f
-                }));
-            }
+            Err(err) => match err.offset_queries(base) {
+                ServeError::ReplayPanicked { failures: sub } => failures.extend(sub),
+                dimension => {
+                    mismatch.get_or_insert(dimension);
+                }
+            },
         }
+    }
+    if let Some(err) = mismatch {
+        return Err(err);
     }
     if !failures.is_empty() {
         failures.sort_unstable();
@@ -580,6 +586,30 @@ mod tests {
             threads,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn query_of_another_dimensionality_fails_the_stream_by_admitted_position() {
+        let (points, order, mut queries, labels) = fixture();
+        // Deep in the stream, past the first micro-batch.
+        queries[70] = Query::Knn {
+            center: vec![1, 2, 3],
+            k: 4,
+        };
+        let engine = ServeEngine::new(&points, &order, engine_cfg(2, 2));
+        let cfg = StreamConfig {
+            arrival: ArrivalConfig::new(ArrivalShape::Deterministic, 2_000.0, 42),
+            queue_depth: 1_000_000,
+            ..Default::default()
+        };
+        assert_eq!(
+            stream_serve(&engine, &queries, &labels, &cfg).unwrap_err(),
+            ServeError::QueryDimension {
+                query: 70,
+                expected: 2,
+                got: 3
+            }
+        );
     }
 
     #[test]

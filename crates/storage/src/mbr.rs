@@ -1,4 +1,6 @@
-//! Minimum bounding rectangles (MBRs) for the packed R-tree.
+//! Minimum bounding rectangles (MBRs) — the range-query boxes of the
+//! packed R-tree and the serving layer — and the Chebyshev metric kNN
+//! queries rank by.
 
 use serde::Serialize;
 
@@ -49,69 +51,12 @@ impl Mbr {
         }
     }
 
-    /// Grow to include another MBR.
-    pub fn expand_mbr(&mut self, other: &Mbr) {
-        debug_assert_eq!(other.ndim(), self.ndim());
-        for d in 0..self.lo.len() {
-            self.lo[d] = self.lo[d].min(other.lo[d]);
-            self.hi[d] = self.hi[d].max(other.hi[d]);
-        }
-    }
-
-    /// True when the two rectangles overlap (share at least one point).
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .zip(other.lo.iter().zip(other.hi.iter()))
-            .all(|((&slo, &shi), (&olo, &ohi))| slo <= ohi && olo <= shi)
-    }
-
     /// True when `p` lies inside.
     pub fn contains_point(&self, p: &[i64]) -> bool {
-        p.iter()
-            .zip(self.lo.iter().zip(self.hi.iter()))
-            .all(|(&c, (&l, &h))| c >= l && c <= h)
-    }
-
-    /// Volume as a count of integer points (product of extents).
-    pub fn volume(&self) -> u128 {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(&l, &h)| (h - l + 1) as u128)
-            .product()
-    }
-
-    /// Hyper-surface measure: sum of extents (the margin the R*-tree
-    /// literature minimises); used as a packing-quality diagnostic.
-    pub fn margin(&self) -> i64 {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(&l, &h)| h - l)
-            .sum()
-    }
-
-    /// Chebyshev (L∞) distance from `p` to the nearest point of this MBR
-    /// (`0` when `p` lies inside). This is the lower bound a best-first
-    /// kNN search orders its frontier by: no point under a subtree can be
-    /// closer to `p` than its node MBR.
-    pub fn min_chebyshev_dist(&self, p: &[i64]) -> i64 {
         debug_assert_eq!(p.len(), self.ndim());
         p.iter()
             .zip(self.lo.iter().zip(self.hi.iter()))
-            .map(|(&c, (&l, &h))| {
-                if c < l {
-                    l - c
-                } else if c > h {
-                    c - h
-                } else {
-                    0
-                }
-            })
-            .max()
-            .unwrap_or(0)
+            .all(|(&c, (&l, &h))| c >= l && c <= h)
     }
 }
 
@@ -135,8 +80,6 @@ mod tests {
         let m = Mbr::point(&[1, 2]);
         assert_eq!(m.lo, vec![1, 2]);
         assert_eq!(m.hi, vec![1, 2]);
-        assert_eq!(m.volume(), 1);
-        assert_eq!(m.margin(), 0);
         assert!(m.contains_point(&[1, 2]));
         assert!(!m.contains_point(&[1, 3]));
     }
@@ -147,8 +90,6 @@ mod tests {
         let m = Mbr::of_points(pts.iter().map(|p| p.as_slice()));
         assert_eq!(m.lo, vec![0, 1]);
         assert_eq!(m.hi, vec![3, 5]);
-        assert_eq!(m.volume(), 20);
-        assert_eq!(m.margin(), 3 + 4);
         for p in &pts {
             assert!(m.contains_point(p));
         }
@@ -159,49 +100,6 @@ mod tests {
     fn empty_mbr_panics() {
         let empty: Vec<&[i64]> = vec![];
         Mbr::of_points(empty);
-    }
-
-    #[test]
-    fn intersection_cases() {
-        let a = Mbr {
-            lo: vec![0, 0],
-            hi: vec![2, 2],
-        };
-        let b = Mbr {
-            lo: vec![2, 2],
-            hi: vec![4, 4],
-        }; // corner touch counts
-        let c = Mbr {
-            lo: vec![3, 0],
-            hi: vec![4, 1],
-        };
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        // a and c overlap in y ([0,2]∩[0,1]) but not in x ([0,2]∩[3,4]).
-        assert!(!a.intersects(&c));
-        // b and c overlap in x ([2,4]∩[3,4]) but not in y ([2,4]∩[0,1]).
-        assert!(!b.intersects(&c));
-    }
-
-    #[test]
-    fn min_chebyshev_dist_cases() {
-        let m = Mbr {
-            lo: vec![2, 2],
-            hi: vec![5, 4],
-        };
-        // Inside and on the boundary: distance zero.
-        assert_eq!(m.min_chebyshev_dist(&[3, 3]), 0);
-        assert_eq!(m.min_chebyshev_dist(&[2, 4]), 0);
-        // Outside along one axis.
-        assert_eq!(m.min_chebyshev_dist(&[0, 3]), 2);
-        assert_eq!(m.min_chebyshev_dist(&[3, 7]), 3);
-        // Outside along both: Chebyshev takes the larger gap.
-        assert_eq!(m.min_chebyshev_dist(&[0, 7]), 3);
-        // Consistency: the bound never exceeds the distance to any
-        // contained point.
-        for p in [[2i64, 2], [5, 4], [4, 3]] {
-            assert!(m.min_chebyshev_dist(&[-3, 9]) <= chebyshev(&[-3, 9], &p));
-        }
     }
 
     #[test]
@@ -217,10 +115,7 @@ mod tests {
         m.expand_point(&[-1, 3]);
         assert_eq!(m.lo, vec![-1, 1]);
         assert_eq!(m.hi, vec![1, 3]);
-        m.expand_mbr(&Mbr {
-            lo: vec![0, -5],
-            hi: vec![9, 0],
-        });
+        m.expand_point(&[9, -5]);
         assert_eq!(m.lo, vec![-1, -5]);
         assert_eq!(m.hi, vec![9, 3]);
     }
