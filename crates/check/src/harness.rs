@@ -1,57 +1,26 @@
-//! A miniature worker pool + per-shard FIFO + batch-handle engine.
-//!
-//! This is a structural mirror of `slpm_serve`'s serving stack —
-//! [`MiniPool`] ↔ `slpm_serve::pool::WorkerPool`, [`MiniEngine`] ↔ the
-//! per-shard FIFO queues and round-robin batch rotation of
-//! `slpm_serve::engine`, [`MiniBatchHandle::wait`] ↔
-//! `BatchHandle::wait` — shrunk until every bounded interleaving can be
-//! explored by [`crossbeam::model::explore`]. Everything is written
-//! against `crossbeam::sync` and `crossbeam::channel`, so the same code
-//! runs on real primitives in plain tests and on instrumented ones
-//! inside a model session.
-//!
-//! The protocol properties under test are exactly the engine's:
-//!
-//! * `submit` enqueues one `BatchWork` per shard and starts a runner for
-//!   every shard that is not already running (`running` flag under the
-//!   shard-queue lock — the lost-update window the checker probes);
-//! * runners pop the front batch, take one unit, and rotate the batch to
-//!   the back while units remain (round-robin fairness across in-flight
-//!   batches);
-//! * `submit_bounded` blocks the submitter on a per-shard condvar while
-//!   a target shard holds `bound` or more queued units; runners decrement
-//!   the count and notify under the same lock, and never wait themselves
-//!   (backpressure can stall admission but never deadlock it);
-//! * unit replay panics are caught, recorded, and re-raised at
-//!   [`MiniBatchHandle::wait`] — never allowed to wedge the waiter;
-//! * per-unit contributions merge commutatively under the progress lock,
-//!   so [`slpm_serve::digest_outcomes`] over the returned outcomes must
-//!   be bitwise identical on every schedule;
-//! * the fault plane's breaker + epoch-swap protocol
-//!   ([`MiniBreaker`](MiniBreakerState) ↔ `slpm_serve::health::ShardBreaker`,
-//!   [`MiniEngine::epoch`] ↔ the engine's `ShardSet` swap): failing
-//!   units are stamped doomed at admission under the fleet lock,
-//!   consecutive failures trip the breaker (open → fast-fail cooldown →
-//!   half-open probe → close), a trip requests a slice rebuild that the
-//!   *next* admission installs by swapping an `Arc`'d epoch, and every
-//!   in-flight batch drains against the epoch it pinned at admission —
-//!   the fail-while-swapping and drain-vs-admit interleavings the model
-//!   tests explore.
+//! [`MiniEngine`]: a toy client of [`slpm_serve::admission::Admission`],
+//! the admission core `slpm_serve::engine::ServeEngine` runs, with a toy
+//! replay in place of page I/O and a [`MiniPool`] in place of the
+//! engine's OS-thread pool. Faults come from a real [`FaultPlan`]:
+//! `kill:S@N` dooms shard `S`'s units from its `N`th admitted unit on,
+//! on its first incarnation only, so a breaker trip heals it. Every toy
+//! unit asserts that it drains on the slice epoch its admission pinned.
 
-use crossbeam::channel::{self, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::sync::thread as sync_thread;
-use crossbeam::sync::{Arc, Condvar, Mutex};
-use slpm_serve::QueryOutcome;
-use slpm_storage::{IoCost, QueryCost};
+use crossbeam::sync::Arc;
+use slpm_serve::admission::{Admission, Batch};
+use slpm_serve::health::{BreakerSnapshot, UnitDirective};
+use slpm_serve::{FaultPlan, QueryOutcome, RecoveryConfig};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A tiny persistent worker pool over the shim's MPMC channel,
-/// mirroring `slpm_serve::pool::WorkerPool`'s lifecycle: long-lived
-/// workers drain an unbounded channel; dropping the pool disconnects the
-/// channel and joins every worker.
+/// A tiny persistent worker pool over the shim's MPMC channel, with the
+/// engine pool's lifecycle: workers drain the channel until the pool is
+/// dropped, which disconnects it and joins them. Jobs are shard runners,
+/// which never unwind (the core catches replay panics) except for the
+/// model's session teardown — which must unwind the worker too.
 pub struct MiniPool {
     tx: Option<Sender<Job>>,
     workers: Vec<sync_thread::JoinHandle<()>>,
@@ -61,24 +30,11 @@ impl MiniPool {
     /// Start `workers` pool threads (model threads inside a session).
     pub fn new(workers: usize) -> MiniPool {
         let (tx, rx) = channel::unbounded::<Job>();
-        let workers = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                sync_thread::spawn(move || {
-                    for job in rx.iter() {
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                            // The model's teardown signal must unwind the
-                            // whole thread; everything else mirrors the
-                            // real pool's swallow-and-count behaviour
-                            // (failures are the batch's to record).
-                            if crossbeam::model::is_abort(&*payload) {
-                                resume_unwind(payload);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
+        let spawn = |_| {
+            let rx: Receiver<Job> = rx.clone();
+            sync_thread::spawn(move || rx.iter().for_each(|job| job()))
+        };
+        let workers = (0..workers).map(spawn).collect();
         MiniPool {
             tx: Some(tx),
             workers,
@@ -87,11 +43,8 @@ impl MiniPool {
 
     /// Queue a job for some worker.
     pub fn submit(&self, job: Job) {
-        self.tx
-            .as_ref()
-            .expect("pool channel alive until drop")
-            .send(job)
-            .expect("pool workers alive");
+        let tx = self.tx.as_ref().expect("pool channel alive until drop");
+        tx.send(job).expect("pool workers alive");
     }
 }
 
@@ -104,703 +57,248 @@ impl Drop for MiniPool {
     }
 }
 
-/// One replay unit: the work one query routed to one shard.
-#[derive(Clone, Copy, Debug)]
+/// One toy replay unit: the work one query routed to one shard.
+#[derive(Clone, Default)]
 pub struct MiniUnit {
     /// Index of the owning query in its batch.
     pub qidx: usize,
     /// Pages this unit contributes to the query's outcome.
     pub work: usize,
-    /// When set, replaying this unit panics (exercises the
-    /// failure-propagation path of `wait`).
+    /// When set, replaying this unit panics.
     pub poison: bool,
-    /// When set, the unit is doomed *on slice incarnation 0 only*
-    /// (mirrors the engine's incarnation-pinned `kill:S@N` faults: a
-    /// breaker trip rebuilds the slice and heals the fault). Doomed
-    /// units degrade instead of serving and drive the breaker.
-    pub fail: bool,
+    /// When set, replay finishes only once every sender of this channel
+    /// is gone (a cross-batch dependency).
+    pub after: Option<Receiver<()>>,
 }
 
-/// Recovery knobs for the mini breaker — the breaker half of
-/// `slpm_serve::health::RecoveryConfig`.
-#[derive(Clone, Copy, Debug)]
-pub struct MiniRecovery {
-    /// Consecutive doomed units that trip the breaker.
-    pub threshold: u32,
-    /// Units fast-failed after a trip before a probe is allowed.
-    pub cooldown: u32,
-}
+/// A queued toy unit with its admission stamps: directive and epoch.
+type Stamped = (MiniUnit, UnitDirective, u64);
 
-impl Default for MiniRecovery {
-    fn default() -> MiniRecovery {
-        MiniRecovery {
-            threshold: 2,
-            cooldown: 1,
-        }
-    }
-}
+/// The toy slice set: only its epoch.
+struct Epoch(u64);
 
-/// Mini breaker phases, mirroring `slpm_serve::health::BreakerState`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MiniBreakerState {
-    /// Healthy: units execute, consecutive failures are counted.
-    Closed,
-    /// Tripped: units fast-fail for `cooldown` stamps, then probe.
-    Open,
-    /// Probing: the next unit decides close (success) or re-open.
-    HalfOpen,
-}
-
-/// Per-shard circuit breaker — a line-for-line shrink of
-/// `slpm_serve::health::ShardBreaker`, advanced only at admission time
-/// under the fleet lock (which is what makes its decisions
-/// schedule-invariant in the real engine too).
-struct MiniBreaker {
-    state: MiniBreakerState,
-    consecutive_failures: u32,
-    cooldown_left: u32,
-    trips: u32,
-    incarnation: u64,
-    rebuild_pending: bool,
-}
-
-impl MiniBreaker {
-    fn new() -> MiniBreaker {
-        MiniBreaker {
-            state: MiniBreakerState::Closed,
-            consecutive_failures: 0,
-            cooldown_left: 0,
-            trips: 0,
-            incarnation: 0,
-            rebuild_pending: false,
-        }
-    }
-
-    /// Advance on one admitted unit; `true` means execute (serve or
-    /// degrade), `false` means fast-fail without touching the shard.
-    fn on_unit(&mut self, doomed: bool, cfg: &MiniRecovery) -> bool {
-        match self.state {
-            MiniBreakerState::Closed => {
-                if doomed {
-                    self.consecutive_failures += 1;
-                    if self.consecutive_failures >= cfg.threshold {
-                        self.trip(cfg);
-                    }
-                } else {
-                    self.consecutive_failures = 0;
-                }
-                true
-            }
-            MiniBreakerState::Open => {
-                if self.cooldown_left > 0 {
-                    self.cooldown_left -= 1;
-                    false
-                } else {
-                    self.state = MiniBreakerState::HalfOpen;
-                    self.probe(doomed, cfg)
-                }
-            }
-            MiniBreakerState::HalfOpen => self.probe(doomed, cfg),
-        }
-    }
-
-    fn probe(&mut self, doomed: bool, cfg: &MiniRecovery) -> bool {
-        if doomed {
-            self.state = MiniBreakerState::Open;
-            self.cooldown_left = cfg.cooldown;
-        } else {
-            self.state = MiniBreakerState::Closed;
-            self.consecutive_failures = 0;
-        }
-        true
-    }
-
-    fn trip(&mut self, cfg: &MiniRecovery) {
-        self.state = MiniBreakerState::Open;
-        self.trips += 1;
-        self.incarnation += 1;
-        self.cooldown_left = cfg.cooldown;
-        self.consecutive_failures = 0;
-        self.rebuild_pending = true;
-    }
-}
-
-/// The swappable slice set: just an epoch counter here, but `Arc`-pinned
-/// by every in-flight batch exactly as the real `ShardSet` is — the
-/// drain-vs-admit obligation is that a unit only ever replays against
-/// the epoch its admission pinned.
-struct MiniSlices {
-    epoch: u64,
-}
-
-/// Mutable batch accounting, guarded by the batch lock.
+/// The toy batch's progress record.
+#[derive(Default)]
 struct Progress {
-    units_left: usize,
     failed: usize,
-    /// `(qidx, shard)` of every unit that degraded (doomed or
-    /// fast-failed) instead of serving.
+    /// `(qidx, shard)` of every unit that degraded instead of serving.
     degraded: Vec<(usize, usize)>,
-    outcomes: Vec<Option<QueryOutcome>>,
+    /// Per-query `(pages, runs)`, merged commutatively.
+    served: Vec<(usize, usize)>,
 }
 
-/// Completion state one batch's waiters block on.
-struct BatchState {
-    progress: Mutex<Progress>,
-    done: Condvar,
-}
-
-impl BatchState {
-    fn record_unit(&self, qidx: usize, pages: usize) {
-        let mut p = self.progress.lock().expect("batch progress");
-        let outcome = p.outcomes[qidx].get_or_insert_with(|| empty_outcome(qidx));
-        // Commutative merges only: unit arrival order is
-        // schedule-dependent, the merged outcome must not be.
-        outcome.pages += pages;
-        outcome.runs += 1;
-        outcome.hits += pages / 2;
-        outcome.misses += pages - pages / 2;
-        finish_unit(self, p);
-    }
-
-    fn record_degraded(&self, qidx: usize, shard: usize) {
-        let mut p = self.progress.lock().expect("batch progress");
-        p.degraded.push((qidx, shard));
-        finish_unit(self, p);
-    }
-
-    fn record_failure(&self) {
-        let mut p = self.progress.lock().expect("batch progress");
-        p.failed += 1;
-        finish_unit(self, p);
-    }
-}
-
-fn finish_unit(state: &BatchState, mut p: crossbeam::sync::MutexGuard<'_, Progress>) {
-    assert!(
-        p.units_left > 0,
-        "mini batch: more units settled than queued"
-    );
-    p.units_left -= 1;
-    if p.units_left == 0 {
-        state.done.notify_all();
-    }
-}
-
-fn empty_outcome(qidx: usize) -> QueryOutcome {
-    QueryOutcome {
-        results: vec![qidx],
-        pages: 0,
-        runs: 0,
-        hits: 0,
-        misses: 0,
-        io: IoCost {
-            pages: 0,
-            runs: 0,
-            total: 0.0,
-        },
-        tree: QueryCost::ZERO,
-        seconds: 0.0,
-        fault_us: 0.0,
-        degraded_pages: 0,
-    }
-}
-
-/// How an admitted unit must be handled, stamped under the fleet lock
-/// at admission exactly as `slpm_serve::engine`'s `UnitDirective` is.
-#[derive(Clone, Copy)]
-enum Directive {
-    /// Healthy: replay normally.
-    Serve,
-    /// Doomed at the pinned incarnation: skip replay, record degraded.
-    Degrade,
-    /// Breaker open: degrade without touching the shard at all.
-    FastFail,
-}
-
-/// One admitted unit plus its admission-time fault-plane stamps.
-struct QueuedUnit {
-    unit: MiniUnit,
-    directive: Directive,
-    /// Slice epoch current when this unit was admitted; the runner
-    /// asserts the batch's pinned slices still carry it.
-    epoch: u64,
-}
-
-/// One batch's units queued on one shard.
-struct BatchWork {
-    state: Arc<BatchState>,
-    /// Slices pinned at admission: in-flight batches drain the epoch
-    /// they were admitted under even if a later admission swaps it.
-    slices: Arc<MiniSlices>,
-    units: VecDeque<QueuedUnit>,
-}
-
-/// A shard's FIFO of in-flight batches plus its runner flag and the
-/// queued-unit count bounded admission waits on.
-struct ShardQueue {
-    batches: VecDeque<BatchWork>,
-    running: bool,
-    pending_units: usize,
-}
-
-/// One shard's queue plus the condvar bounded submitters block on,
-/// mirroring `slpm_serve::engine`'s `ShardGate`.
-struct ShardGate {
-    queue: Mutex<ShardQueue>,
-    space: Condvar,
-}
-
-struct Shared {
-    queues: Vec<ShardGate>,
-    /// Per-shard breakers, advanced at admission under this one lock —
-    /// mirrors `EngineShared::fleet`.
-    fleet: Mutex<Vec<MiniBreaker>>,
-    /// The current epoch's slices, swapped at admission boundaries when
-    /// a rebuild is pending — mirrors `EngineShared::slices`.
-    slices: Mutex<Arc<MiniSlices>>,
-    recovery: MiniRecovery,
-}
-
-/// Handle to one submitted batch; [`wait`](MiniBatchHandle::wait) blocks
-/// until every unit settled.
-pub struct MiniBatchHandle {
-    state: Arc<BatchState>,
-}
+/// Handle to one admitted toy batch.
+pub struct MiniBatchHandle(Arc<Batch<Progress>>);
 
 impl MiniBatchHandle {
-    /// Block until every unit of the batch has settled, then return the
-    /// merged per-query outcomes (in query order).
+    /// Block until every unit settled; the merged outcomes in query order
+    /// plus the sorted `(qidx, shard)` pairs of every degraded unit.
     ///
     /// # Panics
-    /// Panics when any replay unit panicked — after all units settled,
-    /// so a failed batch still never wedges its waiter.
-    pub fn wait(self) -> Vec<QueryOutcome> {
-        self.wait_degraded().0
-    }
-
-    /// Like [`wait`](MiniBatchHandle::wait), additionally returning the
-    /// `(qidx, shard)` pairs of every degraded unit, sorted — the mini
-    /// analogue of `BatchReport`'s coverage, and like it required to be
-    /// a schedule-invariant function of the admitted sequence.
-    ///
-    /// # Panics
-    /// Panics when any replay unit panicked, after all units settled.
-    pub fn wait_degraded(self) -> (Vec<QueryOutcome>, Vec<(usize, usize)>) {
-        let mut p = self.state.progress.lock().expect("batch progress");
-        while p.units_left > 0 {
-            p = self.state.done.wait(p).expect("batch progress");
-        }
-        let failed = p.failed;
-        let mut degraded = std::mem::take(&mut p.degraded);
-        let outcomes = std::mem::take(&mut p.outcomes);
-        drop(p);
+    /// Panics when any replay unit panicked — after all units settled.
+    pub fn wait(self) -> (Vec<QueryOutcome>, Vec<(usize, usize)>) {
+        let taken = |p: &mut Progress| (p.failed, std::mem::take(p));
+        let (failed, mut p) = self.0.wait(taken);
         assert!(
             failed == 0,
             "mini batch: {failed} replay unit(s) panicked during this batch"
         );
-        degraded.sort_unstable();
-        let outcomes = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(qidx, o)| o.unwrap_or_else(|| empty_outcome(qidx)))
-            .collect();
-        (outcomes, degraded)
+        p.degraded.sort_unstable();
+        let outcome = |(qidx, &(pages, runs)): (usize, &(usize, usize))| QueryOutcome {
+            results: vec![qidx],
+            pages,
+            runs,
+            ..QueryOutcome::default()
+        };
+        let outcomes = p.served.iter().enumerate().map(outcome);
+        (outcomes.collect(), p.degraded)
     }
 }
 
-/// The miniature engine: per-shard FIFO queues drained by [`MiniPool`]
-/// runners, mirroring `slpm_serve::engine::ServeEngine`'s admission.
+/// Toy batches admitted through the real admission core, drained by
+/// [`MiniPool`] runners.
 pub struct MiniEngine {
     pool: MiniPool,
-    shared: Arc<Shared>,
+    core: Arc<Admission<Stamped, Epoch, Progress>>,
 }
 
 impl MiniEngine {
-    /// Build an engine with `workers` pool threads and `shards` queues,
-    /// using the default [`MiniRecovery`] knobs.
-    pub fn new(workers: usize, shards: usize) -> MiniEngine {
-        MiniEngine::with_recovery(workers, shards, MiniRecovery::default())
-    }
-
-    /// Build an engine with explicit breaker knobs.
-    pub fn with_recovery(workers: usize, shards: usize, recovery: MiniRecovery) -> MiniEngine {
+    /// `workers` pool threads over `shards` shards, with the fault plan
+    /// `plan` (see [`FaultPlan::parse`]; `""` injects nothing) and
+    /// breakers that trip after 2 consecutive doomed units and fast-fail
+    /// 1 unit before probing.
+    pub fn new(workers: usize, shards: usize, plan: &str) -> MiniEngine {
+        let recovery = RecoveryConfig {
+            breaker_threshold: 2,
+            probe_cooldown: 1,
+            ..RecoveryConfig::default()
+        };
+        let core = Admission::new(Epoch(0), shards, recovery);
+        core.fleet()
+            .arm(FaultPlan::parse(plan).expect("fault plan"));
         MiniEngine {
             pool: MiniPool::new(workers),
-            shared: Arc::new(Shared {
-                queues: (0..shards)
-                    .map(|_| ShardGate {
-                        queue: Mutex::new(ShardQueue {
-                            batches: VecDeque::new(),
-                            running: false,
-                            pending_units: 0,
-                        }),
-                        space: Condvar::new(),
-                    })
-                    .collect(),
-                fleet: Mutex::new((0..shards).map(|_| MiniBreaker::new()).collect()),
-                slices: Mutex::new(Arc::new(MiniSlices { epoch: 0 })),
-                recovery,
-            }),
+            core: Arc::new(core),
         }
     }
 
     /// The epoch of the currently installed slices.
     pub fn epoch(&self) -> u64 {
-        self.shared.slices.lock().expect("mini slices").epoch
+        self.core.pin().0
     }
 
-    /// Snapshot one shard's breaker: `(state, trips, incarnation)`.
-    pub fn breaker(&self, shard: usize) -> (MiniBreakerState, u32, u64) {
-        let fleet = self.shared.fleet.lock().expect("mini fleet");
-        let b = &fleet[shard];
-        (b.state, b.trips, b.incarnation)
+    /// Snapshot one shard's breaker.
+    pub fn breaker(&self, shard: usize) -> BreakerSnapshot {
+        self.core.fleet().snapshot()[shard]
     }
 
-    /// Admit a batch of `queries` queries whose per-shard units are
-    /// `shard_units[shard]`; returns immediately with a wait handle.
-    pub fn submit(&self, queries: usize, shard_units: Vec<Vec<MiniUnit>>) -> MiniBatchHandle {
-        self.admit(queries, shard_units, None)
-    }
-
-    /// Admit a batch under a per-shard queued-unit bound, mirroring
-    /// `ServeEngine::submit_planned_bounded`: the caller blocks (shard by
-    /// shard, in ascending order) while a target shard already holds
-    /// `bound` or more queued units, and runners wake waiters as they
-    /// drain. Runners themselves never wait, so admission can stall but
-    /// never deadlock — the property the model tests pin down.
-    pub fn submit_bounded(
+    /// Admit a batch of `queries` queries whose units on shard `s` are
+    /// `units[s]`, optionally under a per-shard queued-unit `bound`;
+    /// returns without waiting for replay.
+    pub fn submit(
         &self,
         queries: usize,
-        shard_units: Vec<Vec<MiniUnit>>,
-        bound: usize,
-    ) -> MiniBatchHandle {
-        self.admit(queries, shard_units, Some(bound.max(1)))
-    }
-
-    /// Failover at the admission boundary, mirroring the engine's
-    /// `install_rebuilds`: collect pending rebuilds under the fleet
-    /// lock, then (only if any) swap a fresh epoch in under the slices
-    /// lock. The two locks are taken sequentially, never nested — the
-    /// same non-deadlocking order the real engine uses.
-    fn install_rebuilds(&self) {
-        let pending = {
-            let mut fleet = self.shared.fleet.lock().expect("mini fleet");
-            fleet
-                .iter_mut()
-                .any(|b| std::mem::take(&mut b.rebuild_pending))
-        };
-        if pending {
-            let mut slices = self.shared.slices.lock().expect("mini slices");
-            *slices = Arc::new(MiniSlices {
-                epoch: slices.epoch + 1,
-            });
-        }
-    }
-
-    fn admit(
-        &self,
-        queries: usize,
-        shard_units: Vec<Vec<MiniUnit>>,
+        units: Vec<Vec<MiniUnit>>,
         bound: Option<usize>,
     ) -> MiniBatchHandle {
-        assert_eq!(shard_units.len(), self.shared.queues.len());
-        self.install_rebuilds();
-        let slices = Arc::clone(&*self.shared.slices.lock().expect("mini slices"));
-        let total: usize = shard_units.iter().map(Vec::len).sum();
-        let state = Arc::new(BatchState {
-            progress: Mutex::new(Progress {
-                units_left: total,
-                failed: 0,
-                degraded: Vec::new(),
-                outcomes: (0..queries).map(|_| None).collect(),
-            }),
-            done: Condvar::new(),
+        self.core.install_rebuilds(|epoch, _| Epoch(epoch.0 + 1));
+        let slices = self.core.pin();
+        let total = units.iter().map(Vec::len).sum();
+        let per_shard: Vec<VecDeque<Stamped>> = {
+            let mut fleet = self.core.fleet();
+            let stamp = |(shard, units): (usize, Vec<MiniUnit>)| {
+                let stamp_one = |unit| (unit, fleet.stamp(shard, &[]), slices.0);
+                units.into_iter().map(stamp_one).collect()
+            };
+            units.into_iter().enumerate().map(stamp).collect()
+        };
+        let progress = Progress {
+            served: vec![(0, 0); queries],
+            ..Progress::default()
+        };
+        let batch = Arc::new(Batch::new(total, progress));
+        self.core.admit(&batch, &slices, per_shard, bound, |shard| {
+            let core = Arc::clone(&self.core);
+            let record = move |p: &mut Progress, s, r| settle(p, shard, s, r);
+            let run = move || core.run_shard(shard, replay, record);
+            self.pool.submit(Box::new(run));
         });
-        // Stamp every unit's directive under one fleet-lock hold, in
-        // shard-then-queue order — admission-time decisions are what
-        // keep degraded coverage schedule-invariant.
-        let stamped: Vec<Vec<QueuedUnit>> = {
-            let mut fleet = self.shared.fleet.lock().expect("mini fleet");
-            shard_units
-                .into_iter()
-                .enumerate()
-                .map(|(shard, units)| {
-                    units
-                        .into_iter()
-                        .map(|unit| {
-                            let doomed = unit.fail && fleet[shard].incarnation == 0;
-                            let directive = if !fleet[shard].on_unit(doomed, &self.shared.recovery)
-                            {
-                                Directive::FastFail
-                            } else if doomed {
-                                Directive::Degrade
-                            } else {
-                                Directive::Serve
-                            };
-                            QueuedUnit {
-                                unit,
-                                directive,
-                                epoch: slices.epoch,
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        for (shard, units) in stamped.into_iter().enumerate() {
-            if units.is_empty() {
-                continue;
-            }
-            let start_runner = {
-                let gate = &self.shared.queues[shard];
-                let mut q = gate.queue.lock().expect("shard queue");
-                if let Some(bound) = bound {
-                    while q.pending_units >= bound {
-                        q = gate.space.wait(q).expect("shard queue");
-                    }
-                    // The capacity invariant, checked under the lock at
-                    // every admission on every explored schedule.
-                    assert!(
-                        q.pending_units < bound,
-                        "bounded admission woke with a full queue"
-                    );
-                }
-                q.pending_units += units.len();
-                q.batches.push_back(BatchWork {
-                    state: Arc::clone(&state),
-                    slices: Arc::clone(&slices),
-                    units: units.into(),
-                });
-                let start = !q.running;
-                if start {
-                    q.running = true;
-                }
-                start
-            };
-            if start_runner {
-                let shared = Arc::clone(&self.shared);
-                self.pool
-                    .submit(Box::new(move || run_shard(&shared, shard)));
-            }
-        }
-        MiniBatchHandle { state }
+        MiniBatchHandle(batch)
     }
 }
 
-/// Drain one shard's queue: one unit per iteration, rotating the batch
-/// to the back while it has more (round-robin across in-flight batches),
-/// exactly as `slpm_serve::engine`'s shard runner does.
-fn run_shard(shared: &Arc<Shared>, shard: usize) {
-    // xtask:allow(unbounded-retry): queue-drain loop — exits when the
-    // shard FIFO is empty, never retries a faultable call.
-    loop {
-        let (queued, state, slices) = {
-            let gate = &shared.queues[shard];
-            let mut q = gate.queue.lock().expect("shard queue");
-            let Some(mut batch) = q.batches.pop_front() else {
-                // The `running = false` ↔ `submit` handoff is the
-                // classic lost-batch window; both sides act under this
-                // lock, and the model checker verifies there is no
-                // schedule on which a queued batch is never drained.
-                q.running = false;
-                return;
-            };
-            let unit = batch.units.pop_front().expect("queued batch has units");
-            let state = Arc::clone(&batch.state);
-            let slices = Arc::clone(&batch.slices);
-            if !batch.units.is_empty() {
-                q.batches.push_back(batch);
-            }
-            // Pop and notify under the same lock, exactly as the engine's
-            // runner does — the no-lost-wakeup obligation of the bounded
-            // admission protocol.
-            assert!(q.pending_units > 0, "mini shard: unit drained twice");
-            q.pending_units -= 1;
-            gate.space.notify_all();
-            (unit, state, slices)
-        };
-        // Drain-vs-admit obligation: whatever epoch is *currently*
-        // installed, this unit replays against the slices its admission
-        // pinned — checked on every unit of every explored schedule.
-        assert_eq!(
-            queued.epoch, slices.epoch,
-            "mini shard: unit drained against a slice epoch it was not admitted under"
-        );
-        match queued.directive {
-            Directive::Degrade | Directive::FastFail => {
-                state.record_degraded(queued.unit.qidx, shard);
-            }
-            Directive::Serve => match catch_unwind(AssertUnwindSafe(|| replay_unit(queued.unit))) {
-                Ok(pages) => state.record_unit(queued.unit.qidx, pages),
-                Err(payload) => {
-                    if crossbeam::model::is_abort(&*payload) {
-                        resume_unwind(payload);
-                    }
-                    state.record_failure();
-                }
-            },
-        }
+/// Replay one toy unit: `Some(pages)` when served, `None` when degraded.
+fn replay(epoch: &Epoch, (unit, directive, pinned): &Stamped) -> Option<usize> {
+    assert!(*pinned == epoch.0, "unit drained off its pinned epoch");
+    if let Some(after) = &unit.after {
+        let _ = after.recv(); // returns once every sender is dropped
+    }
+    match directive {
+        UnitDirective::Serve if unit.poison => panic!("seeded replay-unit panic"),
+        UnitDirective::Serve => Some(unit.work),
+        // The toy's only faults are `kill`s, which doom every attempt.
+        UnitDirective::Faulted(_) | UnitDirective::FastFail => None,
     }
 }
 
-/// Replay one unit: a deterministic function of the unit alone, so any
-/// schedule-dependence in the merged outcomes must come from the
-/// concurrency protocol — which is what the digest invariance test
-/// pins down.
-fn replay_unit(unit: MiniUnit) -> usize {
-    if unit.poison {
-        panic!("seeded replay-unit panic (qidx {})", unit.qidx);
+/// Fold one settled unit into the toy progress (`None`: it panicked).
+fn settle(p: &mut Progress, shard: usize, (unit, ..): Stamped, replayed: Option<Option<usize>>) {
+    match replayed {
+        Some(Some(pages)) => {
+            let (total, runs) = &mut p.served[unit.qidx];
+            *total += pages;
+            *runs += 1;
+        }
+        Some(None) => p.degraded.push((unit.qidx, shard)),
+        None => p.failed += 1,
     }
-    unit.work
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slpm_serve::digest_outcomes;
+    use slpm_serve::{digest_outcomes, BreakerState};
+
+    fn unit(qidx: usize, work: usize) -> MiniUnit {
+        MiniUnit {
+            qidx,
+            work,
+            ..MiniUnit::default()
+        }
+    }
+
+    fn units() -> Vec<Vec<MiniUnit>> {
+        vec![vec![unit(0, 4), unit(2, 2)], vec![unit(0, 6), unit(1, 8)]]
+    }
 
     #[test]
     fn plain_mode_engine_merges_outcomes_in_query_order() {
-        let engine = MiniEngine::new(2, 2);
-        let unit = |qidx, work| MiniUnit {
-            qidx,
-            work,
-            poison: false,
-            fail: false,
-        };
-        let handle = engine.submit(
-            3,
-            vec![vec![unit(0, 4), unit(2, 2)], vec![unit(0, 6), unit(1, 8)]],
-        );
-        let outcomes = handle.wait();
-        assert_eq!(outcomes.len(), 3);
-        assert_eq!(outcomes[0].pages, 10); // 4 from shard 0 + 6 from shard 1
-        assert_eq!(outcomes[0].runs, 2);
-        assert_eq!(outcomes[1].pages, 8);
-        assert_eq!(outcomes[2].pages, 2);
-        // A second identical run digests identically.
-        let handle = engine.submit(
-            3,
-            vec![vec![unit(0, 4), unit(2, 2)], vec![unit(0, 6), unit(1, 8)]],
-        );
-        assert_eq!(digest_outcomes(&handle.wait()), digest_outcomes(&outcomes));
+        let engine = MiniEngine::new(2, 2, "");
+        let (outcomes, _) = engine.submit(3, units(), None).wait();
+        let pages: Vec<_> = outcomes.iter().map(|o| (o.pages, o.runs)).collect();
+        assert_eq!(pages, [(10, 2), (8, 1), (2, 1)]); // query 0: 4 + 6 pages
+        let (again, _) = engine.submit(3, units(), None).wait();
+        assert_eq!(digest_outcomes(&again), digest_outcomes(&outcomes));
     }
 
     #[test]
     fn plain_mode_bounded_submit_backpressures_and_matches_unbounded() {
-        let engine = MiniEngine::new(2, 2);
-        let unit = |qidx, work| MiniUnit {
-            qidx,
-            work,
-            poison: false,
-            fail: false,
-        };
-        let batch = |e: &MiniEngine, bound: Option<usize>| {
-            let units = vec![vec![unit(0, 4), unit(2, 2)], vec![unit(0, 6), unit(1, 8)]];
-            match bound {
-                Some(b) => e.submit_bounded(3, units, b),
-                None => e.submit(3, units),
-            }
-        };
-        let free = batch(&engine, None).wait();
-        // Depth 1 forces the submitter through the wait path on the
-        // second unit of each shard; the merged outcomes are identical.
+        let engine = MiniEngine::new(2, 2, "");
+        let free = digest_outcomes(&engine.submit(3, units(), None).wait().0);
+        // Depth 1 sends the submitter through the wait path on the
+        // second unit of each shard; the answers are identical.
         for _ in 0..8 {
-            let bounded = batch(&engine, Some(1)).wait();
-            assert_eq!(
-                digest_outcomes(&bounded),
-                digest_outcomes(&free),
-                "bounded admission changed answers"
-            );
+            let (bounded, _) = engine.submit(3, units(), Some(1)).wait();
+            assert_eq!(digest_outcomes(&bounded), free, "bounded changed answers");
         }
     }
 
     #[test]
     fn plain_mode_zero_unit_batch_returns_immediately() {
-        let engine = MiniEngine::new(1, 2);
-        let outcomes = engine.submit(2, vec![vec![], vec![]]).wait();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].pages, 0);
+        let engine = MiniEngine::new(1, 2, "");
+        let (outcomes, _) = engine.submit(2, vec![vec![], vec![]], None).wait();
+        assert_eq!((outcomes.len(), outcomes[0].pages), (2, 0));
     }
 
     #[test]
     fn plain_mode_breaker_trips_swaps_epoch_and_heals_pinned_faults() {
-        let engine = MiniEngine::with_recovery(
-            2,
-            2,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
+        let engine = MiniEngine::new(2, 2, "kill:0@0");
+        // Two doomed units trip shard 0's breaker; shard 1 is untouched.
+        let batch = vec![vec![unit(0, 3), unit(1, 3)], vec![unit(0, 6)]];
+        assert_eq!(engine.submit(2, batch, None).wait().1, [(0, 0), (1, 0)]);
+        let b = engine.breaker(0);
+        assert_eq!(
+            (b.state, b.trips, b.incarnation),
+            (BreakerState::Open, 1, 1)
         );
-        let fail = |qidx| MiniUnit {
-            qidx,
-            work: 3,
-            poison: false,
-            fail: true,
-        };
-        let ok = |qidx, work| MiniUnit {
-            qidx,
-            work,
-            poison: false,
-            fail: false,
-        };
-        // Two doomed units trip shard 0's breaker during this admission;
-        // shard 1 is untouched.
-        let (_, degraded) = engine
-            .submit(2, vec![vec![fail(0), fail(1)], vec![ok(0, 6)]])
-            .wait_degraded();
-        assert_eq!(degraded, vec![(0, 0), (1, 0)]);
-        let (state, trips, incarnation) = engine.breaker(0);
-        assert_eq!((state, trips, incarnation), (MiniBreakerState::Open, 1, 1));
         assert_eq!(engine.epoch(), 0, "rebuild installs at the NEXT admission");
-        // Next admission swaps the epoch; its one shard-0 unit burns the
-        // cooldown as a fast-fail.
-        let (_, degraded) = engine
-            .submit(1, vec![vec![ok(0, 4)], vec![]])
-            .wait_degraded();
-        assert_eq!(engine.epoch(), 1);
-        assert_eq!(degraded, vec![(0, 0)]);
-        // Cooldown spent: the next unit probes, succeeds (the fail flag
-        // is pinned to incarnation 0), and closes the breaker.
-        let (outcomes, degraded) = engine
-            .submit(1, vec![vec![ok(0, 4)], vec![]])
-            .wait_degraded();
-        assert!(degraded.is_empty());
-        assert_eq!(outcomes[0].pages, 4);
-        assert_eq!(engine.breaker(0).0, MiniBreakerState::Closed);
-        assert_eq!(engine.breaker(1), (MiniBreakerState::Closed, 0, 0));
+        // The next admission swaps the epoch; its unit burns the cooldown,
+        // then a probe succeeds (the kill is pinned to incarnation 0).
+        let one = || vec![vec![unit(0, 4)], vec![]];
+        let (_, degraded) = engine.submit(1, one(), None).wait();
+        assert_eq!((engine.epoch(), degraded), (1, vec![(0, 0)]));
+        let (outcomes, degraded) = engine.submit(1, one(), None).wait();
+        assert_eq!((outcomes[0].pages, degraded), (4, vec![]));
+        assert_eq!(engine.breaker(0).state, BreakerState::Closed);
+        assert_eq!(engine.breaker(1).trips, 0);
     }
 
     #[test]
     fn plain_mode_poisoned_unit_panics_wait_without_wedging() {
         let caught = crate::with_quiet_panics(|| {
             std::panic::catch_unwind(|| {
-                let engine = MiniEngine::new(2, 1);
-                let handle = engine.submit(
-                    2,
-                    vec![vec![
-                        MiniUnit {
-                            qidx: 0,
-                            work: 1,
-                            poison: false,
-                            fail: false,
-                        },
-                        MiniUnit {
-                            qidx: 1,
-                            work: 1,
-                            poison: true,
-                            fail: false,
-                        },
-                    ]],
-                );
-                handle.wait()
+                let poisoned = MiniUnit {
+                    poison: true,
+                    ..unit(1, 1)
+                };
+                let engine = MiniEngine::new(2, 1, "");
+                engine
+                    .submit(2, vec![vec![unit(0, 1), poisoned]], None)
+                    .wait()
             })
         });
         let payload = caught.expect_err("poisoned batch must fail wait()");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("assert! message payload");
+        let msg = payload.downcast_ref::<String>().expect("assert! message");
         assert!(msg.contains("replay unit(s) panicked"), "got {msg:?}");
     }
 }

@@ -1,17 +1,17 @@
-//! `slpm_check` — model-checked concurrency harnesses for the serving
-//! stack.
+//! `slpm_check` — model-checked concurrency for the serving stack.
 //!
 //! Every determinism claim the tree makes rests on hand-rolled
 //! concurrency: the `crossbeam` shim's MPMC channels, the
-//! lifetime-erasure latch in `crossbeam::thread::run_scoped`, and
-//! `slpm_serve`'s worker pool / per-shard FIFO queues / `BatchHandle`.
-//! This crate pairs the shim's deterministic model checker
-//! ([`crossbeam::model::explore`], compiled under the shim's `model`
-//! feature) with [`harness`]: a miniature worker pool + per-shard FIFO +
-//! batch-handle engine, structurally mirroring `slpm_serve::engine`'s
-//! admission protocol but small enough to explore *every* bounded
-//! interleaving. The schedule-exploration tests live in
-//! `tests/model.rs` and assert, over thousands of distinct schedules:
+//! lifetime-erasure latch in `crossbeam::thread::run_scoped`, and the
+//! serving engine's admission core ([`slpm_serve::admission`]: per-shard
+//! FIFO gates, bounded admission, the runner-start rule, epoch swap,
+//! breakers and batch settlement). This crate pairs the shim's
+//! deterministic model checker ([`crossbeam::model::explore`], compiled
+//! under the shim's `model` feature) with [`harness`]: a toy client that
+//! drives that very admission core — the code `ServeEngine` ships — with
+//! a toy replay payload and a small model-visible worker pool. The
+//! schedule-exploration tests live in `tests/model.rs` and assert, over
+//! thousands of distinct schedules:
 //!
 //! 1. no deadlock or lost wakeup on any explored schedule,
 //! 2. [`slpm_serve::digest_outcomes`] is bitwise identical on every

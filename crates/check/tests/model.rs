@@ -5,12 +5,15 @@
 //! interleaving* — thousands of schedules — and asserts properties that
 //! must hold on all of them: no deadlock or lost wakeup, schedule-
 //! invariant `digest_outcomes`, and panic propagation that never wedges
-//! a waiter. Debug builds (the tier-1 `cargo test -q` gate) explore a
-//! reduced schedule budget; CI runs the full budget via
+//! a waiter. The admission tests drive `slpm_serve::admission` — the
+//! engine's own admission core — through the toy `MiniEngine` client.
+//! Debug builds (the tier-1 `cargo test -q` gate) explore a reduced
+//! schedule budget; CI runs the full budget via
 //! `cargo test -p slpm_check --release`.
 
-use slpm_check::harness::{MiniBreakerState, MiniEngine, MiniRecovery, MiniUnit};
+use slpm_check::harness::{MiniEngine, MiniUnit};
 use slpm_check::{explore, is_abort, with_quiet_panics, ModelOptions};
+use slpm_serve::BreakerState;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc as StdArc, Mutex as StdMutex};
 
@@ -35,18 +38,13 @@ fn unit(qidx: usize, work: usize) -> MiniUnit {
     MiniUnit {
         qidx,
         work,
-        poison: false,
-        fail: false,
+        ..MiniUnit::default()
     }
 }
 
+/// A unit a `kill` fault plan dooms (its work is never served).
 fn fail_unit(qidx: usize) -> MiniUnit {
-    MiniUnit {
-        qidx,
-        work: 3,
-        poison: false,
-        fail: true,
-    }
+    unit(qidx, 3)
 }
 
 #[test]
@@ -137,11 +135,15 @@ fn pool_digest_is_invariant_across_more_than_1000_schedules() {
     let digests: StdArc<StdMutex<Vec<u64>>> = StdArc::new(StdMutex::new(Vec::new()));
     let sink = StdArc::clone(&digests);
     let report = explore(opts(4), move || {
-        let engine = MiniEngine::new(2, 2);
-        let batch_a = engine.submit(2, vec![vec![unit(0, 4)], vec![unit(0, 6), unit(1, 8)]]);
-        let batch_b = engine.submit(2, vec![vec![unit(1, 2), unit(0, 3)], vec![]]);
-        let outcomes_a = batch_a.wait();
-        let outcomes_b = batch_b.wait();
+        let engine = MiniEngine::new(2, 2, "");
+        let batch_a = engine.submit(
+            2,
+            vec![vec![unit(0, 4)], vec![unit(0, 6), unit(1, 8)]],
+            None,
+        );
+        let batch_b = engine.submit(2, vec![vec![unit(1, 2), unit(0, 3)], vec![]], None);
+        let outcomes_a = batch_a.wait().0;
+        let outcomes_b = batch_b.wait().0;
         let digest_a = slpm_serve::digest_outcomes(&outcomes_a);
         let digest_b = slpm_serve::digest_outcomes(&outcomes_b);
         // Fold both batches into one per-schedule fingerprint.
@@ -174,22 +176,28 @@ fn bounded_admission_never_deadlocks_and_digest_is_invariant() {
     // engine while runners drain and notify. Every explored schedule
     // must terminate (no deadlock or lost wakeup between `space.wait`
     // and the runner's pop+notify), the capacity invariant asserted
-    // inside `submit_bounded` must hold at every admission, and the
-    // merged outcomes must digest identically on every schedule.
+    // inside the core's bounded admission must hold at every admission,
+    // and the merged outcomes must digest identically on every schedule.
     let digests: StdArc<StdMutex<Vec<u64>>> = StdArc::new(StdMutex::new(Vec::new()));
     let sink = StdArc::clone(&digests);
     let report = explore(opts(4), move || {
-        let engine = StdArc::new(MiniEngine::new(2, 2));
+        let engine = StdArc::new(MiniEngine::new(2, 2, ""));
         let rival = StdArc::clone(&engine);
         // A concurrent submitter contends for the same depth-1 gates.
         let other = crossbeam::sync::thread::spawn(move || {
             rival
-                .submit_bounded(2, vec![vec![unit(1, 2)], vec![unit(0, 3)]], 1)
+                .submit(2, vec![vec![unit(1, 2)], vec![unit(0, 3)]], Some(1))
                 .wait()
+                .0
         });
         let mine = engine
-            .submit_bounded(2, vec![vec![unit(0, 4), unit(1, 5)], vec![unit(1, 8)]], 1)
-            .wait();
+            .submit(
+                2,
+                vec![vec![unit(0, 4), unit(1, 5)], vec![unit(1, 8)]],
+                Some(1),
+            )
+            .wait()
+            .0;
         let theirs = other.join().unwrap();
         let digest = slpm_serve::digest_outcomes(&mine)
             ^ slpm_serve::digest_outcomes(&theirs).rotate_left(1);
@@ -219,16 +227,63 @@ fn bounded_admission_never_deadlocks_and_digest_is_invariant() {
 }
 
 #[test]
+fn bounded_submitter_blocked_on_a_later_shard_never_strands_an_earlier_one() {
+    // The runner-start rule: admission starts a shard's runner right
+    // after enqueuing on it, before gating the next shard. Batch B parks
+    // two units on shard 1, the first of which finishes only after batch
+    // C (shard 0 only) completes. The depth-1 submitter A enqueues on
+    // shard 0, then blocks on shard 1 behind B. Had A deferred shard 0's
+    // runner until every shard was enqueued, shard 0 would stay claimed
+    // with no runner: C could never run, so B never drains and A never
+    // unblocks. Every explored schedule must terminate.
+    let report = explore(opts(4), || {
+        let engine = StdArc::new(MiniEngine::new(2, 2, ""));
+        let (c_done, c_gate) = crossbeam::channel::unbounded::<()>();
+        let gated = MiniUnit {
+            after: Some(c_gate),
+            ..unit(0, 4)
+        };
+        let b = engine.submit(2, vec![vec![], vec![gated, unit(1, 5)]], None);
+        let rival = StdArc::clone(&engine);
+        let c = crossbeam::sync::thread::spawn(move || {
+            let c = rival
+                .submit(1, vec![vec![unit(0, 7)], vec![]], None)
+                .wait()
+                .0;
+            drop(c_done);
+            c
+        });
+        let a = engine
+            .submit(2, vec![vec![unit(0, 2)], vec![unit(1, 3)]], Some(1))
+            .wait()
+            .0;
+        let c = c.join().unwrap();
+        let b = b.wait().0;
+        assert_eq!((a[0].pages, a[1].pages), (2, 3));
+        assert_eq!((b[0].pages, b[1].pages), (4, 5));
+        assert_eq!(c[0].pages, 7);
+    });
+    assert!(report.schedules > 0);
+    // CI greps for this exact line so a silently-skipped suite fails
+    // the model-check job.
+    eprintln!(
+        "runner-start rule: explored {} schedules ({report:?})",
+        report.schedules
+    );
+}
+
+#[test]
 fn bounded_and_unbounded_admission_answer_identically_on_every_schedule() {
     // Depth bounds move *when* units enter a shard queue, never what the
     // batch answers: on every schedule, a bounded batch's outcomes must
     // equal the plain submit of the same units (computed once outside
     // the model, where plain mode is deterministic).
     let units = || vec![vec![unit(0, 4), unit(2, 2)], vec![unit(0, 6), unit(1, 8)]];
-    let reference = slpm_serve::digest_outcomes(&MiniEngine::new(2, 2).submit(3, units()).wait());
+    let reference =
+        slpm_serve::digest_outcomes(&MiniEngine::new(2, 2, "").submit(3, units(), None).wait().0);
     let report = explore(opts(3), move || {
-        let engine = MiniEngine::new(2, 2);
-        let outcomes = engine.submit_bounded(3, units(), 1).wait();
+        let engine = MiniEngine::new(2, 2, "");
+        let outcomes = engine.submit(3, units(), Some(1)).wait().0;
         assert_eq!(
             slpm_serve::digest_outcomes(&outcomes),
             reference,
@@ -243,15 +298,13 @@ fn bounded_and_unbounded_admission_answer_identically_on_every_schedule() {
 fn panic_in_replay_unit_never_wedges_wait_on_any_schedule() {
     let report = with_quiet_panics(|| {
         explore(opts(4), || {
-            let engine = MiniEngine::new(2, 2);
+            let engine = MiniEngine::new(2, 2, "");
             let poisoned = MiniUnit {
-                qidx: 1,
-                work: 1,
                 poison: true,
-                fail: false,
+                ..unit(1, 1)
             };
-            let handle = engine.submit(2, vec![vec![unit(0, 4)], vec![poisoned]]);
-            let caught = catch_unwind(AssertUnwindSafe(|| handle.wait()));
+            let handle = engine.submit(2, vec![vec![unit(0, 4)], vec![poisoned]], None);
+            let caught = catch_unwind(AssertUnwindSafe(|| handle.wait().0));
             match caught {
                 Ok(_) => panic!("a poisoned batch must fail wait()"),
                 Err(payload) => {
@@ -272,11 +325,11 @@ fn panic_in_replay_unit_never_wedges_wait_on_any_schedule() {
 #[test]
 fn zero_unit_batch_waits_return_on_every_schedule() {
     let report = explore(opts(4), || {
-        let engine = MiniEngine::new(1, 2);
-        let empty = engine.submit(1, vec![vec![], vec![]]);
-        let busy = engine.submit(1, vec![vec![unit(0, 5)], vec![]]);
-        assert_eq!(empty.wait()[0].pages, 0);
-        assert_eq!(busy.wait()[0].pages, 5);
+        let engine = MiniEngine::new(1, 2, "");
+        let empty = engine.submit(1, vec![vec![], vec![]], None);
+        let busy = engine.submit(1, vec![vec![unit(0, 5)], vec![]], None);
+        assert_eq!(empty.wait().0[0].pages, 0);
+        assert_eq!(busy.wait().0[0].pages, 5);
     });
     eprintln!("zero-unit batches: {report:?}");
 }
@@ -293,20 +346,18 @@ fn breaker_trips_while_epoch_swaps_and_inflight_batches_drain_their_pinned_slice
     let digests: StdArc<StdMutex<Vec<u64>>> = StdArc::new(StdMutex::new(Vec::new()));
     let sink = StdArc::clone(&digests);
     let report = explore(opts(4), move || {
-        let engine = MiniEngine::with_recovery(
+        // Shard 0 fails from its first admitted unit, on incarnation 0.
+        let engine = MiniEngine::new(2, 2, "kill:0@0");
+        let a = engine.submit(
             2,
-            2,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
+            vec![vec![fail_unit(0), fail_unit(1)], vec![unit(0, 6)]],
+            None,
         );
-        let a = engine.submit(2, vec![vec![fail_unit(0), fail_unit(1)], vec![unit(0, 6)]]);
         // B admits mid-drain: its admission installs the rebuilt slice
         // (epoch 1) and its shard-0 unit burns the cooldown fast-fail.
-        let b = engine.submit(2, vec![vec![unit(0, 4)], vec![unit(1, 8)]]);
-        let (a_out, a_deg) = a.wait_degraded();
-        let (b_out, b_deg) = b.wait_degraded();
+        let b = engine.submit(2, vec![vec![unit(0, 4)], vec![unit(1, 8)]], None);
+        let (a_out, a_deg) = a.wait();
+        let (b_out, b_deg) = b.wait();
         assert_eq!(a_deg, vec![(0, 0), (1, 0)], "the tripping units degrade");
         assert_eq!(
             b_deg,
@@ -316,9 +367,9 @@ fn breaker_trips_while_epoch_swaps_and_inflight_batches_drain_their_pinned_slice
         assert_eq!(a_out[0].pages, 6, "shard 1 keeps serving A");
         assert_eq!(b_out[1].pages, 8, "shard 1 keeps serving B");
         assert_eq!(engine.epoch(), 1, "B's admission installs the rebuild");
-        let (state, trips, incarnation) = engine.breaker(0);
-        assert_eq!((trips, incarnation), (1, 1));
-        assert_eq!(state, MiniBreakerState::Open);
+        let breaker = engine.breaker(0);
+        assert_eq!((breaker.trips, breaker.incarnation), (1, 1));
+        assert_eq!(breaker.state, BreakerState::Open);
         let digest = slpm_serve::digest_outcomes(&a_out)
             ^ slpm_serve::digest_outcomes(&b_out).rotate_left(1);
         sink.lock().expect("digest sink").push(digest);
@@ -351,39 +402,32 @@ fn probe_racing_a_rival_trip_settles_to_one_trip_and_a_closed_breaker() {
     // with a successful probe. Which batch plays which role is
     // schedule-dependent — the settled protocol state must not be.
     let report = explore(opts(4), move || {
-        let engine = StdArc::new(MiniEngine::with_recovery(
-            2,
-            1,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
-        ));
+        let engine = StdArc::new(MiniEngine::new(2, 1, "kill:0@0"));
         let rival = StdArc::clone(&engine);
         let other = crossbeam::sync::thread::spawn(move || {
             rival
-                .submit(2, vec![vec![fail_unit(0), fail_unit(1)]])
-                .wait_degraded()
+                .submit(2, vec![vec![fail_unit(0), fail_unit(1)]], None)
+                .wait()
         });
         let (mine_out, mine_deg) = engine
-            .submit(2, vec![vec![fail_unit(0), fail_unit(1)]])
-            .wait_degraded();
+            .submit(2, vec![vec![fail_unit(0), fail_unit(1)]], None)
+            .wait();
         let (theirs_out, theirs_deg) = other.join().unwrap();
         // One batch tripped (2 degraded), the other fast-failed once and
         // probe-served once: 3 degraded + 3 served pages in total.
         assert_eq!(mine_deg.len() + theirs_deg.len(), 3);
         let served: usize = mine_out.iter().chain(&theirs_out).map(|o| o.pages).sum();
         assert_eq!(served, 3, "the successful probe serves its unit");
-        let (state, trips, incarnation) = engine.breaker(0);
-        assert_eq!(trips, 1, "a probe failure must not re-trip");
-        assert_eq!(incarnation, 1);
+        let breaker = engine.breaker(0);
+        assert_eq!(breaker.trips, 1, "a probe failure must not re-trip");
+        assert_eq!(breaker.incarnation, 1);
         assert_eq!(
-            state,
-            MiniBreakerState::Closed,
+            breaker.state,
+            BreakerState::Closed,
             "the probe closes the breaker"
         );
         // The next admission installs the rebuild and serves cleanly.
-        let (out, deg) = engine.submit(1, vec![vec![unit(0, 5)]]).wait_degraded();
+        let (out, deg) = engine.submit(1, vec![vec![unit(0, 5)]], None).wait();
         assert!(deg.is_empty());
         assert_eq!(out[0].pages, 5);
         assert_eq!(engine.epoch(), 1);
@@ -402,20 +446,14 @@ fn units_stamped_before_a_trip_keep_serving_through_the_swap() {
     // drain to completion against their pinned epoch-0 slices on every
     // schedule — failover never claws back work already admitted.
     let report = explore(opts(4), move || {
-        let engine = MiniEngine::with_recovery(
-            2,
-            1,
-            MiniRecovery {
-                threshold: 2,
-                cooldown: 1,
-            },
-        );
-        let a = engine.submit(2, vec![vec![unit(0, 4), unit(1, 5), unit(0, 2)]]);
-        let b = engine.submit(1, vec![vec![fail_unit(0), fail_unit(0)]]);
-        let c = engine.submit(1, vec![vec![unit(0, 7)]]);
-        let (a_out, a_deg) = a.wait_degraded();
-        let (_, b_deg) = b.wait_degraded();
-        let (c_out, c_deg) = c.wait_degraded();
+        // A's three units are shard 0's units 0–2; B's are 3 and 4.
+        let engine = MiniEngine::new(2, 1, "kill:0@3");
+        let a = engine.submit(2, vec![vec![unit(0, 4), unit(1, 5), unit(0, 2)]], None);
+        let b = engine.submit(1, vec![vec![fail_unit(0), fail_unit(0)]], None);
+        let c = engine.submit(1, vec![vec![unit(0, 7)]], None);
+        let (a_out, a_deg) = a.wait();
+        let (_, b_deg) = b.wait();
+        let (c_out, c_deg) = c.wait();
         assert!(a_deg.is_empty(), "A was stamped healthy before the trip");
         assert_eq!(a_out[0].pages, 6);
         assert_eq!(a_out[1].pages, 5);

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bisection;
 pub mod cg;
 pub mod dense;
 pub mod error;

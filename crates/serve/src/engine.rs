@@ -34,7 +34,13 @@
 //! without waiting for replay, so any number of batches can be in flight
 //! at once; [`ServeEngine::run`] is submit-then-wait, and
 //! [`ServeEngine::run_inflight`] splits one workload into several
-//! concurrently admitted batches and merges the reports.
+//! concurrently admitted batches and merges the reports. The concurrency
+//! behind it — per-shard gates and bounded admission, the runner-start
+//! rule, the epoch pin/swap, the fleet's breakers and fault cursors, and
+//! batch settlement — is the [`crate::admission`] core, which this engine
+//! is a client of: the engine plans, routes, replays and merges; the core
+//! queues, starts runners, pins epochs and settles. `slpm_check`
+//! model-checks that same core.
 //!
 //! **Determinism.** Planning and routing are pure per-query functions,
 //! and a batch's replay sequence on each shard is internally ordered, so
@@ -68,12 +74,12 @@
 //! shard, and the affected slice is likewise rebuilt at the next
 //! admission — one poisoned lock no longer wedges the engine forever.
 
-use crate::fault::{FaultPlan, FaultState, ServeError, UnitFailure, UnitFault};
-use crate::health::{
-    BreakerSnapshot, RecoveryConfig, ShardBreaker, UnitDirective, UnitDisposition,
-};
+use crate::admission::{Admission, Batch};
+use crate::fault::{FaultPlan, ServeError, UnitFailure, UnitFault};
+use crate::health::{BreakerSnapshot, RecoveryConfig, UnitDirective};
 use crate::pool::WorkerPool;
 use crate::shard::{Partition, ReadPath, Shard, ShardMap, ShardSet};
+use crossbeam::sync::Arc;
 use slpm_storage::{
     chebyshev, BufferStats, IoCost, IoModel, Mbr, PackedRTree, PageLayout, PageMapper, QueryCost,
     StorageError,
@@ -82,7 +88,6 @@ use spectral_lpm::LinearOrder;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One query of a batch.
@@ -185,7 +190,7 @@ impl Default for EngineConfig {
 }
 
 /// Outcome of one query of a batch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryOutcome {
     /// Matching point ids — ranges in linear-order (rank) sequence, kNN
     /// by ascending (Chebyshev distance, id).
@@ -594,89 +599,10 @@ struct Unit {
     directive: UnitDirective,
 }
 
-/// A batch's pending units on one shard, FIFO in batch order. Pins the
-/// epoch the batch was admitted against: the runner replays these units
-/// on `slices`, so a failover swap never moves in-flight work.
-struct BatchWork {
-    state: Arc<BatchState>,
-    units: VecDeque<Unit>,
-    slices: Arc<ShardSet>,
-}
-
-/// One shard's admission queue: in-flight batches, each with its ordered
-/// remaining units, the is-a-runner-scheduled flag, and the queued-unit
-/// count that bounded admission gates on.
-#[derive(Default)]
-struct ShardQueue {
-    batches: VecDeque<BatchWork>,
-    running: bool,
-    /// Replay units currently enqueued (not yet taken by the runner) —
-    /// the depth [`ServeEngine::submit_planned_bounded`] compares against
-    /// its bound, and what [`ServeEngine::queue_depths`] snapshots.
-    pending_units: usize,
-}
-
-/// A shard's queue paired with the condvar bounded submitters sleep on
-/// until the runner drains the queue below their depth bound.
-#[derive(Default)]
-struct ShardGate {
-    queue: Mutex<ShardQueue>,
-    space: Condvar,
-}
-
-impl ShardGate {
-    fn default_vec(shards: usize) -> Vec<ShardGate> {
-        (0..shards).map(|_| ShardGate::default()).collect()
-    }
-}
-
-/// Fleet health under one lock: per-shard breakers plus the fault
-/// plan's deterministic cursors. Taken once per admission (to stamp the
-/// batch's units in admission order) and briefly by runners reporting
-/// un-modeled panics.
-struct FleetHealth {
-    breakers: Vec<ShardBreaker>,
-    faults: Option<FaultState>,
-}
-
-impl FleetHealth {
-    /// Stamp the next admitted unit on `shard`: resolve its fault from
-    /// the plan's cursors, feed the verdict through the breaker, and
-    /// return what the replay seam should do.
-    fn stamp_unit(&mut self, shard: usize, pages: &[usize], rec: &RecoveryConfig) -> UnitDirective {
-        let incarnation = self.breakers[shard].incarnation();
-        let fault = match self.faults.as_mut() {
-            Some(state) => state.stamp(shard, incarnation, pages),
-            None => UnitFault::NONE,
-        };
-        let doomed = fault.will_degrade(rec.timeout_us, rec.max_attempts);
-        match self.breakers[shard].on_unit(doomed, rec) {
-            UnitDisposition::FastFail => UnitDirective::FastFail,
-            UnitDisposition::Execute if fault.is_none() => UnitDirective::Serve,
-            UnitDisposition::Execute => UnitDirective::Faulted(fault),
-        }
-    }
-}
-
-/// State shared between the engine, its shard runners and outstanding
-/// batch handles (everything the pool's `'static` jobs need).
-struct EngineShared {
-    /// The current epoch's slices; swapped atomically at admission
-    /// boundaries when a rebuild is pending.
-    slices: Mutex<Arc<ShardSet>>,
-    queues: Vec<ShardGate>,
-    fleet: Mutex<FleetHealth>,
-    recovery: RecoveryConfig,
-    /// Page geometry the runner needs to turn degraded pages into
-    /// rank-ranges.
-    records_per_page: usize,
-    records: usize,
-}
-
-/// Mutable replay progress of one in-flight batch.
+/// Mutable replay progress of one in-flight batch — the admission
+/// core's progress record (the core keeps the pending-unit count).
 struct BatchProgress {
-    /// Units not yet replayed (0 = batch complete).
-    pending_units: usize,
+    started: Instant,
     /// Remaining units per query; a query completes when its count hits 0.
     units_left: Vec<usize>,
     hits: Vec<usize>,
@@ -696,85 +622,95 @@ struct BatchProgress {
     panicked: Vec<UnitFailure>,
 }
 
-/// Completion tracking for one submitted batch.
-struct BatchState {
-    started: Instant,
-    progress: Mutex<BatchProgress>,
-    done: Condvar,
-}
-
-impl BatchState {
-    /// Fold one replayed unit into the batch's progress; wakes waiters
-    /// when the last unit lands.
-    fn record_unit(
-        &self,
-        shard: usize,
-        qidx: usize,
-        hits: usize,
-        misses: usize,
-        delta: BufferStats,
-        penalty_us: f64,
-    ) {
-        let mut progress = self.progress.lock().expect("batch progress lock");
-        progress.hits[qidx] += hits;
-        progress.misses[qidx] += misses;
-        progress.shard_buffers[shard].merge(&delta);
-        progress.fault_us[qidx] += penalty_us;
-        Self::retire(&mut progress, qidx, &self.started);
-        if progress.pending_units == 0 {
-            self.done.notify_all();
+impl BatchProgress {
+    fn new(started: Instant, units_left: Vec<usize>, shards: usize) -> Self {
+        let queries = units_left.len();
+        BatchProgress {
+            started,
+            units_left,
+            hits: vec![0; queries],
+            misses: vec![0; queries],
+            shard_buffers: vec![BufferStats::default(); shards],
+            latency: vec![0.0; queries],
+            fault_us: vec![0.0; queries],
+            degraded_pages: vec![0; queries],
+            degraded: Vec::new(),
+            panicked: Vec::new(),
         }
-    }
-
-    /// A unit exhausted its retries (or was fast-failed by an open
-    /// breaker): retire it as degraded, recording the rank-ranges its
-    /// pages covered so the waiter's coverage report can name the loss.
-    fn record_degraded(
-        &self,
-        qidx: usize,
-        shard: usize,
-        pages: usize,
-        rank_ranges: Vec<(usize, usize)>,
-        penalty_us: f64,
-    ) {
-        let mut progress = self.progress.lock().expect("batch progress lock");
-        progress.fault_us[qidx] += penalty_us;
-        progress.degraded_pages[qidx] += pages;
-        progress.degraded.push(DegradedUnit {
-            query: qidx,
-            shard,
-            pages,
-            rank_ranges,
-        });
-        Self::retire(&mut progress, qidx, &self.started);
-        if progress.pending_units == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// A unit's replay panicked outside the fault plan: record which
-    /// (query, shard) failed and still retire the unit, so waiters always
-    /// wake (the failure surfaces as an error at [`BatchHandle::wait`]
-    /// instead of hanging the batch).
-    fn record_panic(&self, qidx: usize, shard: usize) {
-        let mut progress = self.progress.lock().expect("batch progress lock");
-        progress.panicked.push(UnitFailure { query: qidx, shard });
-        Self::retire(&mut progress, qidx, &self.started);
-        if progress.pending_units == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn retire(progress: &mut BatchProgress, qidx: usize, started: &Instant) {
-        progress.units_left[qidx] -= 1;
-        if progress.units_left[qidx] == 0 {
-            progress.latency[qidx] = started.elapsed().as_secs_f64();
-        }
-        progress.pending_units -= 1;
     }
 }
 
-/// What one replay unit resolved to after the retry loop.
+/// State shared between the engine, its shard runners and outstanding
+/// batch handles (everything the pool's `'static` jobs need).
+struct EngineShared {
+    /// Gates, epoch swap, fleet health and batch settlement.
+    core: Admission<Unit, ShardSet, BatchProgress>,
+    recovery: RecoveryConfig,
+    /// Page geometry the runner needs to turn degraded pages into
+    /// rank-ranges.
+    records_per_page: usize,
+    records: usize,
+}
+
+impl EngineShared {
+    /// Drain one shard's queue on the admission core, replaying each
+    /// unit against its batch's pinned epoch and folding the result into
+    /// the batch's progress.
+    fn run_shard(&self, shard_id: usize) {
+        self.core.run_shard(
+            shard_id,
+            |set, unit| replay_unit(self, set, shard_id, unit),
+            |progress, unit, result| {
+                let qidx = unit.qidx;
+                match result {
+                    Some(UnitResult::Served {
+                        hits,
+                        misses,
+                        delta,
+                        penalty_us,
+                    }) => {
+                        progress.hits[qidx] += hits;
+                        progress.misses[qidx] += misses;
+                        progress.shard_buffers[shard_id].merge(&delta);
+                        progress.fault_us[qidx] += penalty_us;
+                    }
+                    // Exhausted retries or a fast-fail: record the
+                    // rank-ranges the unit's pages covered so the
+                    // waiter's coverage report can name the loss.
+                    Some(UnitResult::Degraded { penalty_us }) => {
+                        progress.fault_us[qidx] += penalty_us;
+                        progress.degraded_pages[qidx] += unit.pages.len();
+                        progress.degraded.push(DegradedUnit {
+                            query: qidx,
+                            shard: shard_id,
+                            pages: unit.pages.len(),
+                            rank_ranges: rank_ranges(
+                                &unit.pages,
+                                self.records_per_page,
+                                self.records,
+                            ),
+                        });
+                    }
+                    // An un-modeled panic (routing bug, poisoned shard
+                    // lock, …): the core marked the shard for a rebuild;
+                    // record which unit failed so the waiter surfaces it
+                    // as a [`ServeError`] instead of hanging.
+                    None => progress.panicked.push(UnitFailure {
+                        query: qidx,
+                        shard: shard_id,
+                    }),
+                }
+                progress.units_left[qidx] -= 1;
+                if progress.units_left[qidx] == 0 {
+                    progress.latency[qidx] = progress.started.elapsed().as_secs_f64();
+                }
+            },
+        );
+    }
+}
+
+/// What one replay unit resolved to after the retry loop (a panic
+/// unwinds to the admission core instead).
 enum UnitResult {
     Served {
         hits: usize,
@@ -785,8 +721,6 @@ enum UnitResult {
     Degraded {
         penalty_us: f64,
     },
-    /// Un-modeled panic (routing bug, poisoned lock, …).
-    Panicked,
 }
 
 /// Replay one unit against its batch's pinned epoch, manifesting the
@@ -846,100 +780,31 @@ fn replay_unit(shared: &EngineShared, set: &ShardSet, shard_id: usize, unit: &Un
         }
         // This attempt succeeds (after paying any sub-timeout stall).
         penalty_us += fault.stall_us.min(rec.timeout_us);
-        let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut shard = set.shard(shard_id).lock().expect("shard lock");
-            let before = shard.buffer_stats();
-            let outcome = shard.replay(&unit.pages);
-            let after = shard.buffer_stats();
-            let delta = BufferStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-                evictions: after.evictions - before.evictions,
-                prefetched: after.prefetched - before.prefetched,
-                prefetch_hits: after.prefetch_hits - before.prefetch_hits,
-            };
-            outcome.map(|(h, m)| (h, m, delta))
-        }));
-        return match replayed {
-            Ok(Ok((hits, misses, delta))) => UnitResult::Served {
+        let mut shard = set.shard(shard_id).lock().expect("shard lock");
+        let before = shard.buffer_stats();
+        let outcome = shard.replay(&unit.pages);
+        let after = shard.buffer_stats();
+        return match outcome {
+            Ok((hits, misses)) => UnitResult::Served {
                 hits,
                 misses,
-                delta,
+                delta: BufferStats {
+                    hits: after.hits - before.hits,
+                    misses: after.misses - before.misses,
+                    evictions: after.evictions - before.evictions,
+                    prefetched: after.prefetched - before.prefetched,
+                    prefetch_hits: after.prefetch_hits - before.prefetch_hits,
+                },
                 penalty_us,
             },
             // A genuine storage failure on the serving attempt —
             // corruption, truncation, a device error: no retry budget
             // fixes bad bytes, so the unit degrades (coverage names its
             // rank-ranges) instead of failing the batch.
-            Ok(Err(_)) => UnitResult::Degraded { penalty_us },
-            Err(_) => UnitResult::Panicked,
+            Err(_) => UnitResult::Degraded { penalty_us },
         };
     }
     UnitResult::Degraded { penalty_us }
-}
-
-/// Drain one shard's queue: repeatedly take the front batch's next unit,
-/// rotate that batch to the back of the line (round-robin fairness across
-/// in-flight batches), and replay the unit against the shard. Exactly one
-/// runner is active per shard (the `running` flag), which is what keeps
-/// each batch's units on a shard in batch order.
-fn run_shard_queue(shared: &EngineShared, shard_id: usize) {
-    // xtask:allow(unbounded-retry): queue-drain loop, not a retry loop —
-    // each iteration consumes one queued unit and the loop exits when the
-    // queue is empty; the faultable call inside is bounded by
-    // `replay_unit`'s attempt budget.
-    loop {
-        let (state, unit, slices) = {
-            let gate = &shared.queues[shard_id];
-            let mut queue = gate.queue.lock().expect("shard queue lock");
-            match queue.batches.pop_front() {
-                None => {
-                    // Queue drained; clear the flag under the same lock a
-                    // submitter checks it, so no work is ever stranded.
-                    queue.running = false;
-                    return;
-                }
-                Some(mut work) => {
-                    let unit = work.units.pop_front().expect("queued batches have work");
-                    let state = Arc::clone(&work.state);
-                    let slices = Arc::clone(&work.slices);
-                    if !work.units.is_empty() {
-                        queue.batches.push_back(work);
-                    }
-                    // Taking a unit frees one slot of the shard's bounded
-                    // depth; wake any submitter blocked on space (under
-                    // the same lock, so the wakeup can't be lost).
-                    queue.pending_units -= 1;
-                    gate.space.notify_all();
-                    (state, unit, slices)
-                }
-            }
-        };
-        match replay_unit(shared, &slices, shard_id, &unit) {
-            UnitResult::Served {
-                hits,
-                misses,
-                delta,
-                penalty_us,
-            } => state.record_unit(shard_id, unit.qidx, hits, misses, delta, penalty_us),
-            UnitResult::Degraded { penalty_us } => {
-                let ranges = rank_ranges(&unit.pages, shared.records_per_page, shared.records);
-                state.record_degraded(unit.qidx, shard_id, unit.pages.len(), ranges, penalty_us);
-            }
-            UnitResult::Panicked => {
-                // An un-modeled panic (routing bug, poisoned shard lock,
-                // …) must not kill the runner silently: on the pool that
-                // would strand the batch (waiters hang forever) and wedge
-                // the shard behind a `running` flag nobody clears. Record
-                // which unit failed (the waiter surfaces it as a
-                // [`ServeError`]) and mark the shard for a rebuild so the
-                // fleet self-heals at the next admission boundary.
-                shared.fleet.lock().expect("fleet health lock").breakers[shard_id]
-                    .note_unexpected_panic();
-                state.record_panic(unit.qidx, shard_id);
-            }
-        }
-    }
 }
 
 /// A planned-and-routed batch that has **not** been admitted yet — the
@@ -1002,7 +867,7 @@ impl PlannedBatch {
 /// borrows nothing from the engine and any number of handles can be in
 /// flight while further batches are submitted.
 pub struct BatchHandle {
-    state: Arc<BatchState>,
+    batch: Arc<Batch<BatchProgress>>,
     plans: Vec<Plan>,
     routes: Vec<Route>,
     io: IoModel,
@@ -1017,12 +882,7 @@ impl BatchHandle {
 
     /// True once every replay unit has completed (never blocks).
     pub fn is_complete(&self) -> bool {
-        self.state
-            .progress
-            .lock()
-            .expect("batch progress lock")
-            .pending_units
-            == 0
+        self.batch.is_settled()
     }
 
     /// Block until the batch completes, then merge per-query outcomes (in
@@ -1060,13 +920,14 @@ impl BatchHandle {
         self,
     ) -> Result<(Vec<QueryOutcome>, Vec<ShardReport>, Vec<DegradedUnit>, f64), ServeError> {
         let BatchHandle {
-            state,
+            batch,
             plans,
             routes,
             io,
             shards,
         } = self;
         let (
+            started,
             hits,
             misses,
             shard_buffers,
@@ -1075,12 +936,9 @@ impl BatchHandle {
             degraded_pages,
             mut degraded,
             mut panicked,
-        ) = {
-            let mut progress = state.progress.lock().expect("batch progress lock");
-            while progress.pending_units > 0 {
-                progress = state.done.wait(progress).expect("batch progress lock");
-            }
+        ) = batch.wait(|progress| {
             (
+                progress.started,
                 std::mem::take(&mut progress.hits),
                 std::mem::take(&mut progress.misses),
                 std::mem::take(&mut progress.shard_buffers),
@@ -1090,7 +948,7 @@ impl BatchHandle {
                 std::mem::take(&mut progress.degraded),
                 std::mem::take(&mut progress.panicked),
             )
-        };
+        });
         let mismatch = plans.iter().enumerate().find_map(|(query, plan)| {
             plan.mismatch
                 .map(|(expected, got)| ServeError::QueryDimension {
@@ -1147,7 +1005,7 @@ impl BatchHandle {
             outcomes,
             shard_reports,
             degraded,
-            state.started.elapsed().as_secs_f64(),
+            started.elapsed().as_secs_f64(),
         ))
     }
 }
@@ -1248,12 +1106,7 @@ impl<'a> ServeEngine<'a> {
             layout,
             shard_map,
             shared: Arc::new(EngineShared {
-                slices: Mutex::new(Arc::new(ShardSet::new(shards))),
-                queues: ShardGate::default_vec(cfg.shards),
-                fleet: Mutex::new(FleetHealth {
-                    breakers: (0..cfg.shards).map(|_| ShardBreaker::default()).collect(),
-                    faults: None,
-                }),
+                core: Admission::new(ShardSet::new(shards), cfg.shards, cfg.recovery),
                 recovery: cfg.recovery,
                 records_per_page: cfg.records_per_page,
                 records: points.len(),
@@ -1427,42 +1280,25 @@ impl<'a> ServeEngine<'a> {
     /// A snapshot of each shard's queued (not yet replayed) unit count —
     /// the backpressure observable bounded admission gates on.
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.shared
-            .queues
-            .iter()
-            .map(|g| g.queue.lock().expect("shard queue lock").pending_units)
-            .collect()
+        self.shared.core.queue_depths()
     }
 
     /// Arm a deterministic fault plan: subsequently admitted units are
     /// stamped against it in admission order. Replaces any previous plan
     /// (its cursors reset); `FaultPlan::default()` disarms.
     pub fn inject_faults(&self, plan: FaultPlan) {
-        let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
-        fleet.faults = (!plan.is_empty()).then(|| FaultState::new(plan, self.cfg.shards));
+        self.shared.core.fleet().arm(plan);
     }
 
     /// A point-in-time view of every shard's circuit breaker.
     pub fn health_snapshot(&self) -> Vec<BreakerSnapshot> {
-        self.shared
-            .fleet
-            .lock()
-            .expect("fleet health lock")
-            .breakers
-            .iter()
-            .enumerate()
-            .map(|(shard, b)| b.snapshot(shard))
-            .collect()
+        self.shared.core.fleet().snapshot()
     }
 
     /// The current slice epoch (bumped by every failover swap; `0` until
     /// a shard is rebuilt).
     pub fn epoch(&self) -> u64 {
-        self.shared
-            .slices
-            .lock()
-            .expect("shard slices lock")
-            .epoch()
+        self.shared.core.pin().epoch()
     }
 
     /// Swap rebuilt slices in for every shard whose breaker requested a
@@ -1471,40 +1307,32 @@ impl<'a> ServeEngine<'a> {
     /// under the next epoch, and leave old-epoch `Arc`s to drain in
     /// whatever batches still hold them.
     fn install_rebuilds(&self) {
-        let pending: Vec<usize> = {
-            let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
-            (0..self.cfg.shards)
-                .filter(|&s| fleet.breakers[s].take_rebuild())
-                .collect()
-        };
-        if pending.is_empty() {
-            return;
-        }
-        let mapper = PageMapper::new(self.order, self.layout);
-        let replacements: Vec<(usize, Shard)> = pending
-            .into_iter()
-            .map(|id| {
-                let fresh = Shard::build(
-                    id,
-                    &self.shard_map,
-                    &mapper,
-                    Arc::clone(&self.placement),
-                    self.cfg.record_size,
-                    ReadPath {
-                        buffer_pages: self.cfg.buffer_pages,
-                        readahead: self.cfg.readahead,
-                        page_file: self.page_file.as_deref(),
-                    },
-                )
-                // The file opened at engine construction; failing to
-                // reopen it mid-failover is an environment change no
-                // rebuild can paper over.
-                .expect("rebuild reopens the page file the engine started with");
-                (id, fresh)
-            })
-            .collect();
-        let mut slices = self.shared.slices.lock().expect("shard slices lock");
-        *slices = Arc::new(slices.with_replacements(replacements));
+        self.shared.core.install_rebuilds(|current, pending| {
+            let mapper = PageMapper::new(self.order, self.layout);
+            let replacements: Vec<(usize, Shard)> = pending
+                .into_iter()
+                .map(|id| {
+                    let fresh = Shard::build(
+                        id,
+                        &self.shard_map,
+                        &mapper,
+                        Arc::clone(&self.placement),
+                        self.cfg.record_size,
+                        ReadPath {
+                            buffer_pages: self.cfg.buffer_pages,
+                            readahead: self.cfg.readahead,
+                            page_file: self.page_file.as_deref(),
+                        },
+                    )
+                    // The file opened at engine construction; failing to
+                    // reopen it mid-failover is an environment change no
+                    // rebuild can paper over.
+                    .expect("rebuild reopens the page file the engine started with");
+                    (id, fresh)
+                })
+                .collect();
+            current.with_replacements(replacements)
+        });
     }
 
     /// The shared enqueue path behind [`ServeEngine::submit_planned`]
@@ -1520,7 +1348,7 @@ impl<'a> ServeEngine<'a> {
         // this batch pins its epoch. In-flight batches keep draining the
         // old epoch's `Arc`.
         self.install_rebuilds();
-        let slices = Arc::clone(&*self.shared.slices.lock().expect("shard slices lock"));
+        let slices = self.shared.core.pin();
 
         // Build the per-shard unit queues, each in batch (query) order.
         // Page lists move out of the routes (page_count stays behind for
@@ -1533,13 +1361,12 @@ impl<'a> ServeEngine<'a> {
             (0..self.cfg.shards).map(|_| VecDeque::new()).collect();
         let mut units_left = vec![0usize; queries];
         {
-            let mut fleet = self.shared.fleet.lock().expect("fleet health lock");
-            let rec = self.shared.recovery;
+            let mut fleet = self.shared.core.fleet();
             for (qidx, route) in routes.iter_mut().enumerate() {
                 units_left[qidx] = route.slices.len();
                 for slice in &mut route.slices {
                     let pages = std::mem::take(&mut slice.pages);
-                    let directive = fleet.stamp_unit(slice.shard, &pages, &rec);
+                    let directive = fleet.stamp(slice.shard, &pages);
                     per_shard[slice.shard].push_back(Unit {
                         qidx,
                         pages,
@@ -1549,68 +1376,29 @@ impl<'a> ServeEngine<'a> {
             }
         }
         let pending_units: usize = units_left.iter().sum();
-        let state = Arc::new(BatchState {
-            started,
-            progress: Mutex::new(BatchProgress {
-                pending_units,
-                units_left,
-                hits: vec![0; queries],
-                misses: vec![0; queries],
-                shard_buffers: vec![BufferStats::default(); self.cfg.shards],
-                latency: vec![0.0; queries],
-                fault_us: vec![0.0; queries],
-                degraded_pages: vec![0; queries],
-                degraded: Vec::new(),
-                panicked: Vec::new(),
-            }),
-            done: Condvar::new(),
-        });
+        let batch = Arc::new(Batch::new(
+            pending_units,
+            BatchProgress::new(started, units_left, self.cfg.shards),
+        ));
 
-        // Enqueue, collecting shards that need a runner scheduled. The
-        // running flag flips under the queue lock, so a concurrent
-        // runner draining to empty either sees this work or leaves
-        // `running == false` for us to claim.
-        let mut to_run: Vec<usize> = Vec::new();
-        for (shard_id, units) in per_shard.into_iter().enumerate() {
-            if units.is_empty() {
-                continue;
-            }
-            let gate = &self.shared.queues[shard_id];
-            let mut queue = gate.queue.lock().expect("shard queue lock");
-            if let Some(bound) = depth {
-                while queue.pending_units >= bound {
-                    queue = gate.space.wait(queue).expect("shard queue lock");
+        // Each newly claimed shard's runner starts right after its
+        // enqueue: on the pool, or inline on a serial engine — which
+        // drains before returning, so the handle is already complete
+        // and replay order is the batch order (the deterministic
+        // buffer-accounting baseline).
+        self.shared
+            .core
+            .admit(&batch, &slices, per_shard, depth, |shard_id| {
+                match &self.pool {
+                    Some(pool) => {
+                        let shared = Arc::clone(&self.shared);
+                        pool.submit(move || shared.run_shard(shard_id));
+                    }
+                    None => self.shared.run_shard(shard_id),
                 }
-            }
-            queue.pending_units += units.len();
-            queue.batches.push_back(BatchWork {
-                state: Arc::clone(&state),
-                units,
-                slices: Arc::clone(&slices),
             });
-            if !queue.running {
-                queue.running = true;
-                to_run.push(shard_id);
-            }
-        }
-        match &self.pool {
-            Some(pool) => {
-                for shard_id in to_run {
-                    let shared = Arc::clone(&self.shared);
-                    pool.submit(move || run_shard_queue(&shared, shard_id));
-                }
-            }
-            // Serial baseline: drain inline before returning, so the
-            // handle is already complete (and replay order is the batch
-            // order — the deterministic buffer-accounting baseline).
-            None => {
-                for shard_id in to_run {
-                    run_shard_queue(&self.shared, shard_id);
-                }
-            }
-        }
         BatchHandle {
-            state,
+            batch,
             plans,
             routes,
             io: self.cfg.io,
@@ -2339,7 +2127,7 @@ mod tests {
             };
             let engine = ServeEngine::new(&points, &order, cfg);
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let slices = Arc::clone(&*engine.shared.slices.lock().unwrap());
+                let slices = engine.shared.core.pin();
                 let _guard = slices.shard(0).lock().unwrap();
                 panic!("poison the shard lock");
             }));
@@ -2423,49 +2211,29 @@ mod tests {
                 ..Default::default()
             };
             let engine = ServeEngine::new(&points, &order, cfg);
-            let state = Arc::new(BatchState {
-                started: Instant::now(),
-                progress: Mutex::new(BatchProgress {
-                    pending_units: 1,
-                    units_left: vec![1],
-                    hits: vec![0],
-                    misses: vec![0],
-                    shard_buffers: vec![BufferStats::default(); 2],
-                    latency: vec![0.0],
-                    fault_us: vec![0.0],
-                    degraded_pages: vec![0],
-                    degraded: Vec::new(),
-                    panicked: Vec::new(),
-                }),
-                done: Condvar::new(),
-            });
+            let batch = Arc::new(Batch::new(
+                1,
+                BatchProgress::new(Instant::now(), vec![1], 2),
+            ));
             let mut units = VecDeque::new();
             units.push_back(Unit {
                 qidx: 0,
                 pages: vec![usize::MAX],
                 directive: UnitDirective::Serve,
             });
-            {
-                let mut queue = engine.shared.queues[0]
-                    .queue
-                    .lock()
-                    .expect("shard queue lock");
-                queue.pending_units += 1;
-                queue.batches.push_back(BatchWork {
-                    state: Arc::clone(&state),
-                    units,
-                    slices: Arc::clone(&*engine.shared.slices.lock().unwrap()),
-                });
-                queue.running = true;
-            }
-            let shared = Arc::clone(&engine.shared);
-            engine
-                .pool
-                .as_ref()
-                .expect("threads > 1 builds a pool")
-                .submit(move || run_shard_queue(&shared, 0));
+            let pool = engine.pool.as_ref().expect("threads > 1 builds a pool");
+            engine.shared.core.admit(
+                &batch,
+                &engine.shared.core.pin(),
+                vec![units],
+                None,
+                |shard| {
+                    let shared = Arc::clone(&engine.shared);
+                    pool.submit(move || shared.run_shard(shard));
+                },
+            );
             let handle = BatchHandle {
-                state,
+                batch,
                 plans: Vec::new(),
                 routes: Vec::new(),
                 io: engine.cfg.io,

@@ -248,9 +248,11 @@ pub struct BreakerSnapshot {
 }
 
 /// The admission-time verdict for one unit, combining the fault stamp
-/// with the breaker decision — what the engine enqueues.
+/// with the breaker decision — what
+/// [`FleetHealth::stamp`](crate::admission::FleetHealth::stamp) returns
+/// and the engine enqueues.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum UnitDirective {
+pub enum UnitDirective {
     /// No fault stamped; replay normally.
     Serve,
     /// Run the bounded retry loop with this stamp.

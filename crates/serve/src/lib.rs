@@ -19,6 +19,12 @@
 //!   [`shard::Partition::RoundRobin`] reusing
 //!   [`slpm_storage::decluster`]), each shard owning a
 //!   [`slpm_storage::PageStore`] slice plus its own LRU buffer pool.
+//! * [`admission`] — the admission core every engine batch passes
+//!   through: per-shard FIFO gates with bounded admission, the
+//!   runner-start rule, epoch pin/swap, the fleet's breakers and fault
+//!   cursors, and batch settlement. Written against the
+//!   `crossbeam::sync` facade (plain `std` in normal builds), so the
+//!   model checker in `slpm_check` explores this exact code.
 //! * [`engine`] — the batch executor: plan each query on the packed
 //!   R-tree (range scans plus a best-first branch-and-bound kNN planner,
 //!   [`engine::KnnPlanner`]), admit any number of concurrent batches
@@ -76,6 +82,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod arrival;
 pub mod engine;
 pub mod fault;

@@ -40,7 +40,7 @@ impl Default for IoModel {
 }
 
 /// Broken-down cost of one query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct IoCost {
     /// Distinct pages read.
     pub pages: usize,

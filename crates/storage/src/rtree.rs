@@ -68,7 +68,7 @@ pub struct PackedRTree<'a> {
 }
 
 /// Access counts of one range query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueryCost {
     /// Internal + leaf nodes whose MBR intersected the query.
     pub nodes_visited: usize,

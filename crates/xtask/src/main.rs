@@ -40,6 +40,13 @@
 //!   so checksums, accounting and fault injection cannot be bypassed.
 //!   Non-serving sites with a legitimate need (the linter reading the
 //!   tree, benches persisting artifacts) carry a reasoned pragma.
+//! * **`model-visible-sync`** — no `std::sync::` or `std::thread::` in
+//!   `crates/serve/src/admission.rs`: the admission core is written
+//!   against the `crossbeam::sync` facade so the model checker schedules
+//!   every primitive it uses. A `std` primitive there is invisible to the
+//!   scheduler (its interleavings go unexplored), and a blocking one
+//!   hangs the exploration session instead of being explored. Test code
+//!   is not exempt.
 //! * **`forbid-unsafe`** — every `crates/*/src/lib.rs` carries
 //!   `#![forbid(unsafe_code)]`.
 //!
@@ -72,6 +79,7 @@ const RULES: &[&str] = &[
     "unbounded-retry",
     "adhoc-pool",
     "fs-only-in-storage",
+    "model-visible-sync",
     "forbid-unsafe",
 ];
 
@@ -87,6 +95,8 @@ const BLESSED_FS_FILE: &str = "crates/storage/src/diskfile.rs";
 /// The deterministic dispatch layer — the one file in the pool-lint
 /// scope allowed to construct `Pool` values directly.
 const BLESSED_POOL_FILE: &str = "crates/linalg/src/parallel.rs";
+/// The model-checked admission core: sync only through the facade.
+const MODEL_CHECKED_FILE: &str = "crates/serve/src/admission.rs";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -313,6 +323,20 @@ fn lint_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
                      injection stay on the path, or annotate why this site \
                      must touch the filesystem"
                 ),
+            });
+        }
+
+        if rel == MODEL_CHECKED_FILE
+            && (code_line.contains("std::sync::") || code_line.contains("std::thread::"))
+            && !allowed(&raw, idx, "model-visible-sync")
+        {
+            out.push(Violation {
+                path: rel.to_string(),
+                line: line_no,
+                rule: "model-visible-sync",
+                message: "std sync/thread primitive in the model-checked admission core — \
+                          use the crossbeam::sync facade so the model scheduler sees it"
+                    .to_string(),
             });
         }
 
@@ -840,6 +864,37 @@ mod tests {
         let mut v = Vec::new();
         lint_file("crates/serve/src/engine.rs", in_tests, &mut v);
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn admission_core_syncs_only_through_the_model_visible_facade() {
+        for bare in [
+            "use std::sync::Mutex;\n",
+            "fn f() {\n    let m = std::sync::Mutex::new(0);\n}\n",
+            "fn f() {\n    std::thread::yield_now();\n}\n",
+            "#[cfg(test)]\nmod tests {\n    use std::sync::Arc;\n}\n",
+        ] {
+            let mut v = Vec::new();
+            lint_file("crates/serve/src/admission.rs", bare, &mut v);
+            assert_eq!(v.len(), 1, "expected exactly one finding: {v:?}");
+            assert_eq!(v[0].rule, "model-visible-sync");
+        }
+
+        // The facade itself, and comments or strings naming std, are fine.
+        let fine = "use crossbeam::sync::{Arc, Mutex};\n// not std::sync::Mutex\n\
+                    const S: &str = \"std::thread::spawn\";\n";
+        let mut v = Vec::new();
+        lint_file("crates/serve/src/admission.rs", fine, &mut v);
+        assert!(v.is_empty(), "false positive: {v:?}");
+
+        // The rule is scoped to the admission core.
+        let mut v = Vec::new();
+        lint_file(
+            "crates/serve/src/shard.rs",
+            "use std::sync::Mutex;\n",
+            &mut v,
+        );
+        assert!(v.is_empty(), "false positive: {v:?}");
     }
 
     impl std::fmt::Debug for Violation {

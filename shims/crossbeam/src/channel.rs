@@ -170,6 +170,10 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
+        #[cfg(feature = "model")]
+        if crate::model::tearing_down() {
+            return; // every endpoint is unwinding; nobody waits on the count
+        }
         let remaining = {
             let mut inner = self.shared.inner.lock().expect("channel poisoned");
             inner.senders -= 1;
@@ -236,6 +240,10 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
+        #[cfg(feature = "model")]
+        if crate::model::tearing_down() {
+            return; // every endpoint is unwinding; nobody waits on the count
+        }
         let remaining = {
             let mut inner = self.shared.inner.lock().expect("channel poisoned");
             inner.receivers -= 1;

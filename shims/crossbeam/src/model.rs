@@ -244,6 +244,15 @@ pub(crate) fn current_session() -> Option<(StdArc<Session>, Tid)> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+/// True on a model thread that is unwinding through its session's
+/// teardown. Destructors that would synchronise (a channel endpoint's
+/// drop, a join) must not reach a scheduling point then: it would panic
+/// a second time mid-unwind and abort the whole process before
+/// [`explore`] reports the stuck schedule.
+pub(crate) fn tearing_down() -> bool {
+    std::thread::panicking() && current_session().is_some_and(|(sess, _)| sess.lock().aborting)
+}
+
 /// How the calling thread leaves a scheduling point.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Disposition {
@@ -683,6 +692,11 @@ pub(crate) fn join_model<T: Send + 'static>(
             let mut g = sess.lock();
             if g.aborting {
                 drop(g);
+                if std::thread::panicking() {
+                    // Joined from a destructor mid-teardown: report the
+                    // abort instead of panicking again.
+                    return Err(Box::new(Abort));
+                }
                 std::panic::panic_any(Abort);
             }
             if g.threads[target].state == ThreadState::Finished {
